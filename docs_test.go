@@ -61,7 +61,7 @@ func TestDocsPresentAndLinked(t *testing.T) {
 		// removes them should revisit the doc.
 		"docs/ARCHITECTURE.md": {
 			"manifest", "v3", "degrees.db", "shard", "clock", "latch",
-			"build-then-concurrent-read", "singleflight",
+			"build-then-concurrent-read", "singleflight", "recycl",
 			// Format v4: the persisted index, the segmented-adjacency
 			// invariant, and the bulk-load finalize contract must stay
 			// documented alongside the code that implements them.

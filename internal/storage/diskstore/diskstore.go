@@ -1131,8 +1131,12 @@ func (ep *epoch) decodeValue(r propRec) (graph.Value, error) {
 	case graph.KindBool:
 		return graph.B(r.a == 1), nil
 	case graph.KindString:
-		data, err := ep.readBlob(int64(r.a), int64(r.b))
-		if err != nil {
+		// The string conversion copies, so the blob bytes can go
+		// through a pooled buffer: one allocation per string.
+		sc := segScratch.Get().(*[]byte)
+		defer segScratch.Put(sc)
+		data := takeScratch(sc, int(r.b))
+		if err := ep.pager.read(fileBlobs, int64(r.a), data); err != nil {
 			return graph.Null, err
 		}
 		return graph.S(string(data)), nil

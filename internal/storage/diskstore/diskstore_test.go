@@ -335,3 +335,25 @@ func newMemReference(t *testing.T, seed int64, nv, ne int) string {
 	}
 	return storetest.Fingerprint(mem)
 }
+
+// TestPropIDStringAllocs pins the cost of reading a string property on a
+// warm cache: the blob bytes go through a pooled buffer, so the returned
+// string is the only allocation.
+func TestPropIDStringAllocs(t *testing.T) {
+	s := newTestStore(t, Options{})
+	v, err := s.AddVertex("Drug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetProp(v, "name", graph.S("acetylsalicylic acid")); err != nil {
+		t.Fatal(err)
+	}
+	key := s.KeyID("name")
+	if val, ok := s.PropID(v, key); !ok || val.Str() != "acetylsalicylic acid" {
+		t.Fatalf("PropID = %v, %v", val, ok)
+	}
+	allocs := testing.AllocsPerRun(100, func() { s.PropID(v, key) })
+	if allocs > 1 {
+		t.Errorf("PropID of a string property allocates %.1f times; want at most 1", allocs)
+	}
+}

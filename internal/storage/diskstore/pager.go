@@ -29,26 +29,37 @@ type pageKey struct {
 
 // page is one cached page frame.
 //
-// Three independent mechanisms coordinate access to a frame:
+// Four mechanisms coordinate access to a frame:
 //
-//   - the latch (mu) guards the frame contents (data, dirty, loadErr). A
-//     loader holds the write latch across its disk read, so concurrent
-//     readers that found the frame in the table simply block on RLock
-//     until the bytes are in — page loads are de-duplicated for free.
-//   - the pin count (ref) keeps the frame resident: the clock sweep never
-//     evicts a pinned frame, so a reader can copy from the frame after
-//     releasing the shard lock. Pins are held only for the duration of one
-//     copy, never across I/O on another frame.
+//   - the shard lock (sh.mu) guards table membership, the clock bit (used)
+//     and loaded. Once loaded is set, the frame's bytes change only under
+//     the shard lock, so a hit copies them while holding it — one lock
+//     round trip, no pin, no latch.
+//   - the latch (mu) guards the bytes while a frame is loading or being
+//     written back (data, dirty, loadErr). A loader holds the write latch
+//     across its disk read, so concurrent readers that found the frame
+//     before it was loaded block on RLock until the bytes are in — page
+//     loads are de-duplicated for free. Writers take it as well as the
+//     shard lock (order shard → page).
+//   - the pin count (ref) keeps a loading frame resident: the clock sweep
+//     never evicts a pinned frame, so a reader waiting on the latch can
+//     copy after releasing the shard lock. Pins are held only for the
+//     duration of one copy, never across I/O on another frame.
 //   - used is the clock-sweep reference bit, set on every hit and cleared
 //     (one second chance) as the hand passes.
+//
+// An evicted frame is recycled for the next miss in its shard: eviction
+// picks only unpinned frames and removes them from table and clock under
+// the shard lock, so no goroutine can still reach the victim.
 type page struct {
 	key     pageKey
 	mu      sync.RWMutex
 	data    []byte
 	dirty   bool
 	loadErr error
+	loaded  bool
 	ref     atomic.Int32
-	used    atomic.Bool
+	used    bool
 }
 
 func (pg *page) unpin() { pg.ref.Add(-1) }
@@ -78,15 +89,17 @@ type pagerStats struct {
 // The cache is sharded by hash of (file, page): each shard owns a fraction
 // of the page budget behind its own mutex and evicts with a clock sweep
 // (second-chance) instead of a linked LRU list. Within a shard, the shard
-// lock covers table lookup, pinning, victim selection, and dirty-victim
-// write-back; the disk read that fills a missing frame happens outside it
-// under the frame's own latch, so a page load (the read path's only I/O —
-// frames are clean while serving) stalls at most same-page requests, and
-// a dirty write-back stalls at most its own shard. Concurrent readers
-// therefore serialize only when they touch the
-// same shard at the same instant, and a cold miss in one shard never
-// stalls hits in the others — this is what lets N goroutines traverse a
-// disk-bound graph faster than one.
+// lock covers table lookup, the copy out of a loaded frame on a hit,
+// pinning, victim selection, and dirty-victim write-back; the disk read
+// that fills a missing frame happens outside it under the frame's own
+// latch, so a page load (the read path's only I/O — frames are clean
+// while serving) stalls at most same-page requests, and a dirty
+// write-back stalls at most its own shard. A miss reuses the frame it
+// evicts, so a full cache serves reads without allocating. Concurrent
+// readers therefore serialize only when they touch the same shard at the
+// same instant, and a cold miss in one shard never stalls hits in the
+// others — this is what lets N goroutines traverse a disk-bound graph
+// faster than one.
 //
 // Writes follow the storage.Builder contract: building is single-writer,
 // so flush and dropCache assume no concurrent mutators (concurrent readers
@@ -176,14 +189,13 @@ func (p *pager) shardOf(key pageKey) *shard {
 	return &p.shards[h>>p.shardShift]
 }
 
-// fetch returns the frame for key, pinned. The caller must take the
-// frame's latch (RLock to copy out, Lock to modify) and unpin when done.
-func (p *pager) fetch(key pageKey) (*page, error) {
-	sh := p.shardOf(key)
-	sh.mu.Lock()
+// fetch returns the frame for key, pinned. The caller holds sh.mu, which
+// fetch releases. The caller must take the frame's latch (RLock to copy
+// out, Lock to modify) and unpin when done.
+func (p *pager) fetch(sh *shard, key pageKey) (*page, error) {
 	if pg, ok := sh.table[key]; ok {
 		pg.ref.Add(1) // pin under the shard lock so the sweep cannot free it
-		pg.used.Store(true)
+		pg.used = true
 		sh.mu.Unlock()
 		p.stats.hits.Add(1)
 		// If the frame is still loading, RLock blocks until the loader
@@ -198,15 +210,19 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 		return pg, nil
 	}
 	p.stats.misses.Add(1)
-	pg := &page{key: key, data: make([]byte, p.pageSize)}
-	pg.ref.Add(1)
-	pg.used.Store(true)
-	pg.mu.Lock() // held across the load; see page docs
-	if err := p.evictLocked(sh); err != nil {
-		pg.mu.Unlock()
+	pg, err := p.evictLocked(sh)
+	if err != nil {
 		sh.mu.Unlock()
 		return nil, err
 	}
+	if pg == nil {
+		pg = &page{data: make([]byte, p.pageSize)}
+	}
+	pg.key = key
+	pg.loaded = false
+	pg.used = true
+	pg.ref.Add(1)
+	pg.mu.Lock() // held across the load; see page docs
 	sh.table[key] = pg
 	sh.clock = append(sh.clock, pg)
 	sh.mu.Unlock()
@@ -214,40 +230,45 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 	// The disk read happens outside the shard lock: only goroutines
 	// needing this same page wait (on the latch); the rest of the shard
 	// stays available.
+	n := 0
 	off := key.page * int64(p.pageSize)
 	if off < p.sizes[key.file].Load() {
-		n, err := p.files[key.file].ReadAt(pg.data, off)
+		n, err = p.files[key.file].ReadAt(pg.data, off)
 		if err != nil && err != io.EOF {
 			pg.loadErr = fmt.Errorf("diskstore: read page %v: %w", key, err)
 		} else {
-			for i := n; i < len(pg.data); i++ {
-				pg.data[i] = 0
-			}
 			p.stats.reads.Add(1)
 		}
 	}
-	if pg.loadErr != nil {
-		err := pg.loadErr
-		pg.mu.Unlock()
+	// A short read, or a page at or past EOF, reads as zeros; a recycled
+	// frame still holds its previous page's bytes.
+	clear(pg.data[n:])
+	err = pg.loadErr
+	pg.mu.Unlock()
+
+	sh.mu.Lock()
+	if err == nil {
+		pg.loaded = true
+	} else if cur, ok := sh.table[key]; ok && cur == pg {
 		// Drop the failed frame so a later fetch retries the read.
-		sh.mu.Lock()
-		if cur, ok := sh.table[key]; ok && cur == pg {
-			delete(sh.table, key)
-			sh.removeFromClock(pg)
-		}
-		sh.mu.Unlock()
+		delete(sh.table, key)
+		sh.removeFromClock(pg)
+	}
+	sh.mu.Unlock()
+	if err != nil {
 		pg.unpin()
 		return nil, err
 	}
-	pg.mu.Unlock()
 	return pg, nil
 }
 
 // evictLocked makes room for one more frame in the shard, writing dirty
-// victims back. Caller holds sh.mu. Pinned frames are skipped; if every
+// victims back, and returns the last victim for reuse (nil when the shard
+// had room). Caller holds sh.mu. Pinned frames are skipped; if every
 // frame is pinned the shard temporarily overflows its budget rather than
 // deadlocking.
-func (p *pager) evictLocked(sh *shard) error {
+func (p *pager) evictLocked(sh *shard) (*page, error) {
+	var victim *page
 	attempts := 0
 	for len(sh.clock) >= p.shardCap && attempts < 2*len(sh.clock)+1 {
 		if sh.hand >= len(sh.clock) {
@@ -259,17 +280,19 @@ func (p *pager) evictLocked(sh *shard) error {
 			sh.hand++
 			continue
 		}
-		if pg.used.Swap(false) {
+		if pg.used {
+			pg.used = false
 			sh.hand++ // second chance
 			continue
 		}
 		if err := p.writePage(pg); err != nil {
-			return err
+			return nil, err
 		}
 		delete(sh.table, pg.key)
 		sh.removeAt(sh.hand)
+		victim = pg
 	}
-	return nil
+	return victim, nil
 }
 
 // removeAt swap-removes the ring entry at index i. Caller holds sh.mu.
@@ -375,16 +398,26 @@ func (p *pager) read(f fileID, off int64, buf []byte) error {
 		return nil
 	}
 	for len(buf) > 0 {
-		pageNo := off / int64(p.pageSize)
+		key := pageKey{f, off / int64(p.pageSize)}
 		within := int(off % int64(p.pageSize))
-		pg, err := p.fetch(pageKey{f, pageNo})
-		if err != nil {
-			return err
+		sh := p.shardOf(key)
+		sh.mu.Lock()
+		var n int
+		if pg := sh.table[key]; pg != nil && pg.loaded {
+			pg.used = true
+			n = copy(buf, pg.data[within:])
+			sh.mu.Unlock()
+			p.stats.hits.Add(1)
+		} else {
+			pg, err := p.fetch(sh, key)
+			if err != nil {
+				return err
+			}
+			pg.mu.RLock()
+			n = copy(buf, pg.data[within:])
+			pg.mu.RUnlock()
+			pg.unpin()
 		}
-		pg.mu.RLock()
-		n := copy(buf, pg.data[within:])
-		pg.mu.RUnlock()
-		pg.unpin()
 		buf = buf[n:]
 		off += int64(n)
 	}
@@ -397,16 +430,22 @@ func (p *pager) read(f fileID, off int64, buf []byte) error {
 func (p *pager) write(f fileID, off int64, buf []byte) error {
 	p.dropMap(f)
 	for len(buf) > 0 {
-		pageNo := off / int64(p.pageSize)
+		key := pageKey{f, off / int64(p.pageSize)}
 		within := int(off % int64(p.pageSize))
-		pg, err := p.fetch(pageKey{f, pageNo})
+		sh := p.shardOf(key)
+		sh.mu.Lock()
+		pg, err := p.fetch(sh, key)
 		if err != nil {
 			return err
 		}
+		// Hits copy under the shard lock alone, so bytes of a loaded
+		// frame change only while holding it too.
+		sh.mu.Lock()
 		pg.mu.Lock()
 		n := copy(pg.data[within:], buf)
 		pg.dirty = true
 		pg.mu.Unlock()
+		sh.mu.Unlock()
 		pg.unpin()
 		buf = buf[n:]
 		off += int64(n)

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -139,4 +140,101 @@ func TestPagerDirtyEvictionRoundTrip(t *testing.T) {
 	if got != want {
 		t.Error("state diverged after dirty evictions (write-back broken)")
 	}
+}
+
+// sweepPages reads the first bytes of every page of the file once.
+func sweepPages(t *testing.T, p *pager, f fileID) {
+	t.Helper()
+	buf := make([]byte, 8)
+	for off := int64(0); off < p.sizes[f].Load(); off += int64(p.pageSize) {
+		if err := p.read(f, off, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPagerReadAllocsFree checks that a miss reuses the frame it evicts:
+// once the cache is full, reads that miss every time allocate nothing.
+func TestPagerReadAllocsFree(t *testing.T) {
+	s := newTestStore(t, Options{PageSize: 256, CachePages: 4})
+	if _, err := storetest.BuildRandom(s, 11, 300, 900); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p := s.curEp().pager
+	pages := p.sizes[fileProps].Load() / int64(p.pageSize)
+	if pages < 10*int64(s.opts.CachePages) {
+		t.Fatalf("props file spans %d pages; want many times the %d-page cache", pages, s.opts.CachePages)
+	}
+	sweepPages(t, p, fileProps) // fills the cache
+
+	buf := make([]byte, 8)
+	next := int64(0)
+	p.resetStats()
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := p.read(fileProps, next*int64(p.pageSize), buf); err != nil {
+			t.Fatal(err)
+		}
+		next = (next + 1) % pages
+	})
+	if st := p.readStats(); st.PageHits != 0 || st.PageMisses == 0 {
+		t.Fatalf("sweep got %d hits, %d misses; want misses only", st.PageHits, st.PageMisses)
+	}
+	if allocs != 0 {
+		t.Errorf("pager.read on a miss allocates %.1f times; want 0", allocs)
+	}
+}
+
+// TestPagerRecycledFramePastEOF writes a few bytes into a page past EOF
+// after the cache has filled with data pages, so the write lands in a
+// recycled frame. The rest of that page must read as zeros, from the
+// cache and from the file after write-back.
+func TestPagerRecycledFramePastEOF(t *testing.T) {
+	s := newTestStore(t, Options{PageSize: 256, CachePages: 4})
+	if _, err := storetest.BuildRandom(s, 11, 300, 900); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p := s.curEp().pager
+	sweepPages(t, p, fileProps)
+	if got := p.resident(); got != s.opts.CachePages {
+		t.Fatalf("%d pages resident after the sweep; want the full %d", got, s.opts.CachePages)
+	}
+
+	ps := int64(p.pageSize)
+	pageOff := (p.sizes[fileBlobs].Load()/ps + 2) * ps
+	payload := []byte{0xA1, 0xB2, 0xC3}
+	const within = 10
+	if err := p.write(fileBlobs, pageOff+within, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.resident(); got != s.opts.CachePages {
+		t.Fatalf("%d pages resident after the write; want %d (a recycled frame)", got, s.opts.CachePages)
+	}
+	want := make([]byte, ps)
+	copy(want[within:], payload)
+	check := func(q *pager, when string) {
+		t.Helper()
+		got := make([]byte, ps)
+		if err := q.read(fileBlobs, pageOff, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: page past EOF reads %x; want %x", when, got, want)
+		}
+	}
+	check(p, "cached")
+
+	if err := p.flush(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := newPager(p.files, p.pageSize, s.opts.CachePages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(reopened, "after flush and reopen")
 }
