@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -257,9 +258,9 @@ func show(cache *query.Cache, g storage.Graph, q *cypher.Query, tag string, maxR
 	var res *query.Result
 	var prof *query.Profile
 	if profile {
-		res, prof, err = plan.ExecuteParallelProfiled(queryWorkers, &st)
+		res, prof, err = plan.ExecuteParallelContextProfiled(context.Background(), queryWorkers, &st)
 	} else {
-		res, err = plan.ExecuteParallelWithStats(queryWorkers, &st)
+		res, err = plan.ExecuteParallelContextWithStats(context.Background(), queryWorkers, &st)
 	}
 	if err != nil {
 		fatalf("%s: %v", tag, err)
@@ -287,7 +288,7 @@ func show(cache *query.Cache, g storage.Graph, q *cypher.Query, tag string, maxR
 					// are all hits on the shared plan.
 					p, err := cache.Get(g, text)
 					if err == nil {
-						_, err = p.ExecuteParallel(queryWorkers)
+						_, err = p.ExecuteParallelContextWithStats(context.Background(), queryWorkers, &query.Stats{})
 					}
 					if err != nil {
 						errs[w] = err

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/query"
 	"repro/internal/rewrite"
+	"repro/internal/storage"
 	"repro/internal/storage/memstore"
 )
 
@@ -88,15 +90,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var ds1, ds2 query.Stats
-		r1, err := query.RunWithStats(dir, q, &ds1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r2, err := query.RunWithStats(opt, rw, &ds2)
-		if err != nil {
-			log.Fatal(err)
-		}
+		r1, ds1 := run(dir, q)
+		r2, ds2 := run(opt, rw)
 		fmt.Printf("\n=== %s ===\n", ex.title)
 		fmt.Printf("DIR query: %s\n", q)
 		fmt.Printf("OPT query: %s\n", rw)
@@ -108,4 +103,19 @@ func main() {
 		fmt.Printf("OPT: %4d rows, %6d edge traversals, %6d property reads\n",
 			len(r2.Rows), ds2.EdgesTraversed, ds2.PropsRead)
 	}
+}
+
+// run compiles q against g and executes it once, returning the rows and
+// the work counters.
+func run(g storage.Graph, q *cypher.Query) (*query.Result, query.Stats) {
+	p, err := query.Prepare(g, q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var st query.Stats
+	res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &st)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res, st
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -129,7 +130,7 @@ func traversals(env *bench.Env, plan *optimizer.Plan, wl *workload.Workload) (in
 		if err != nil {
 			return 0, err
 		}
-		if _, err := p.ExecuteWithStats(&stats); err != nil {
+		if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &stats); err != nil {
 			return 0, err
 		}
 	}

@@ -87,9 +87,9 @@ func sampleReads(g storage.Graph, readers, nV int, seed int64, done func() bool)
 				v := storage.VID(rng.Intn(nV))
 				t0 := time.Now()
 				g.Labels(v)
-				g.Prop(v, "p0")
+				g.PropID(v, g.KeyID("p0"))
 				n := 0
-				g.ForEachOut(v, "", func(storage.EID, storage.VID) bool {
+				g.ForEachOutID(v, storage.AnySymbol, func(storage.EID, storage.VID) bool {
 					n++
 					return n < 8
 				})
@@ -185,8 +185,8 @@ func CompactLatency(dir string, nV, nE, readers int, seed int64) (*CompactReport
 
 	countMidFold := func(g storage.Graph) int {
 		n := 0
-		g.ForEachVertex("MidFold", func(v storage.VID) bool {
-			if _, ok := g.Prop(v, "mid"); ok {
+		g.ForEachVertexID(g.LabelID("MidFold"), func(v storage.VID) bool {
+			if _, ok := g.PropID(v, g.KeyID("mid")); ok {
 				n++
 			}
 			return true

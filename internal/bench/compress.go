@@ -9,6 +9,7 @@ package bench
 // answer (v4 rows show 0 for contrast).
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -235,7 +236,7 @@ func bloomSkipRate(st *diskstore.Store, probes int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if _, err := p.Execute(); err != nil {
+		if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &query.Stats{}); err != nil {
 			return 0, err
 		}
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -224,7 +225,7 @@ func runComparison(env *Env, b Backend, q workload.Query, dir, opt storage.Graph
 	var dirStats, optStats query.Stats
 	row.DirMs, err = timeIt(func() error {
 		for i := 0; i < env.Opts.Reps; i++ {
-			if _, err := dirPlan.ExecuteWithStats(&dirStats); err != nil {
+			if _, err := dirPlan.ExecuteParallelContextWithStats(context.Background(), 1, &dirStats); err != nil {
 				return err
 			}
 		}
@@ -235,7 +236,7 @@ func runComparison(env *Env, b Backend, q workload.Query, dir, opt storage.Graph
 	}
 	row.OptMs, err = timeIt(func() error {
 		for i := 0; i < env.Opts.Reps; i++ {
-			if _, err := optPlan.ExecuteWithStats(&optStats); err != nil {
+			if _, err := optPlan.ExecuteParallelContextWithStats(context.Background(), 1, &optStats); err != nil {
 				return err
 			}
 		}
@@ -335,7 +336,7 @@ func WorkloadLatency(env *Env, backends []Backend) ([]WorkloadRow, error) {
 		row.DirMs, err = timeIt(func() error {
 			for i := 0; i < env.Opts.Reps; i++ {
 				for _, p := range dirPlans {
-					if _, err := p.ExecuteWithStats(&dirStats); err != nil {
+					if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &dirStats); err != nil {
 						return err
 					}
 				}
@@ -350,7 +351,7 @@ func WorkloadLatency(env *Env, backends []Backend) ([]WorkloadRow, error) {
 		row.OptMs, err = timeIt(func() error {
 			for i := 0; i < env.Opts.Reps; i++ {
 				for _, p := range optPlans {
-					if _, err := p.ExecuteWithStats(&optStats); err != nil {
+					if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &optStats); err != nil {
 						return err
 					}
 				}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -69,7 +70,7 @@ func ParallelScaling(env *Env, b Backend, goroutines []int, opsPerGoroutine int)
 	if err != nil {
 		return nil, err
 	}
-	ref, err := plan.Execute()
+	ref, err := plan.ExecuteParallelContextWithStats(context.Background(), 1, &query.Stats{})
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +99,7 @@ func ParallelScaling(env *Env, b Backend, goroutines []int, opsPerGoroutine int)
 							errs[g] = err
 							return
 						}
-						res, err := p.Execute()
+						res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &query.Stats{})
 						if err != nil {
 							errs[g] = err
 							return
@@ -188,7 +189,7 @@ func IntraQueryScaling(env *Env, b Backend, workers []int, ops int) ([]IntraQuer
 	if err != nil {
 		return nil, err
 	}
-	ref, err := plan.Execute()
+	ref, err := plan.ExecuteParallelContextWithStats(context.Background(), 1, &query.Stats{})
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +201,7 @@ func IntraQueryScaling(env *Env, b Backend, workers []int, ops int) ([]IntraQuer
 		if w <= 0 {
 			return nil, fmt.Errorf("bench: invalid worker count %d", w)
 		}
-		check, err := plan.ExecuteParallel(w)
+		check, err := plan.ExecuteParallelContextWithStats(context.Background(), w, &query.Stats{})
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +211,7 @@ func IntraQueryScaling(env *Env, b Backend, workers []int, ops int) ([]IntraQuer
 		}
 		totalMs, err := timeIt(func() error {
 			for i := 0; i < ops; i++ {
-				res, err := plan.ExecuteParallel(w)
+				res, err := plan.ExecuteParallelContextWithStats(context.Background(), w, &query.Stats{})
 				if err != nil {
 					return err
 				}

@@ -159,7 +159,7 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 		}
 		// Every carrier vertex gets the property, empty list included,
 		// so size() is 0 rather than NULL on childless vertices.
-		b.ForEachVertex(lp.Carrier, func(v storage.VID) bool {
+		b.ForEachVertexID(b.LabelID(lp.Carrier), func(v storage.VID) bool {
 			if err = b.SetProp(v, lp.Key, graph.L(values[v]...)); err != nil {
 				return false
 			}

@@ -43,9 +43,9 @@ func TestDirectLoadCounts(t *testing.T) {
 	}
 	// DIR keeps isA/unionOf instance edges.
 	found := false
-	mem.ForEachVertex("DrugFoodInteraction", func(id storage.VID) bool {
-		mem.ForEachOut(id, "isA", func(_ storage.EID, dst storage.VID) bool {
-			if mem.HasLabel(dst, "DrugInteraction") {
+	mem.ForEachVertexID(mem.LabelID("DrugFoodInteraction"), func(id storage.VID) bool {
+		mem.ForEachOutID(id, mem.TypeID("isA"), func(_ storage.EID, dst storage.VID) bool {
+			if mem.HasLabelID(dst, mem.LabelID("DrugInteraction")) {
 				found = true
 			}
 			return false
@@ -80,16 +80,16 @@ func TestOptimizedLoadMergesFacets(t *testing.T) {
 	}
 	// Union facets merged: every ContraIndication vertex also carries the
 	// Risk label, and no unionOf edges remain.
-	mem.ForEachVertex("ContraIndication", func(id storage.VID) bool {
-		if !mem.HasLabel(id, "Risk") {
+	mem.ForEachVertexID(mem.LabelID("ContraIndication"), func(id storage.VID) bool {
+		if !mem.HasLabelID(id, mem.LabelID("Risk")) {
 			t.Errorf("vertex %d: ContraIndication without Risk label", id)
 			return false
 		}
 		return true
 	})
 	count := 0
-	mem.ForEachVertex("", func(id storage.VID) bool {
-		count += mem.Degree(id, "unionOf", true)
+	mem.ForEachVertexID(storage.AnySymbol, func(id storage.VID) bool {
+		count += mem.DegreeID(id, mem.TypeID("unionOf"), true)
 		return true
 	})
 	if count != 0 {
@@ -98,12 +98,12 @@ func TestOptimizedLoadMergesFacets(t *testing.T) {
 	// Parent pushed into children: DrugFoodInteraction vertices carry the
 	// parent label and the parent's property.
 	checked := false
-	mem.ForEachVertex("DrugFoodInteraction", func(id storage.VID) bool {
+	mem.ForEachVertexID(mem.LabelID("DrugFoodInteraction"), func(id storage.VID) bool {
 		checked = true
-		if !mem.HasLabel(id, "DrugInteraction") {
+		if !mem.HasLabelID(id, mem.LabelID("DrugInteraction")) {
 			t.Errorf("vertex %d missing merged parent label", id)
 		}
-		if _, ok := mem.Prop(id, "summary"); !ok {
+		if _, ok := mem.PropID(id, mem.KeyID("summary")); !ok {
 			t.Errorf("vertex %d missing parent property summary", id)
 		}
 		return false
@@ -124,8 +124,8 @@ func TestResidualParentOnlyVertices(t *testing.T) {
 	// Parent-only DrugInteraction instances stay as residual vertices
 	// labeled only with the parent concept.
 	residuals := 0
-	mem.ForEachVertex("DrugInteraction", func(id storage.VID) bool {
-		if !mem.HasLabel(id, "DrugFoodInteraction") && !mem.HasLabel(id, "DrugLabInteraction") {
+	mem.ForEachVertexID(mem.LabelID("DrugInteraction"), func(id storage.VID) bool {
+		if !mem.HasLabelID(id, mem.LabelID("DrugFoodInteraction")) && !mem.HasLabelID(id, mem.LabelID("DrugLabInteraction")) {
 			residuals++
 		}
 		return true
@@ -157,8 +157,8 @@ func TestListPropReplication(t *testing.T) {
 		perDrug[l.Src]++
 	}
 	idx := 0
-	mem.ForEachVertex("Drug", func(id storage.VID) bool {
-		val, ok := mem.Prop(id, "Indication.desc")
+	mem.ForEachVertexID(mem.LabelID("Drug"), func(id storage.VID) bool {
+		val, ok := mem.PropID(id, mem.KeyID("Indication.desc"))
 		if !ok {
 			t.Errorf("drug vertex %d missing Indication.desc", id)
 			return false

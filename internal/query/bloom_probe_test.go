@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestBloomProbeSkipsEmptyScans(t *testing.T) {
 		}
 		before := BloomSkips()
 		var st Stats
-		r, err := p.ExecuteWithStats(&st)
+		r, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestBloomProbeHonorsLiveWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Execute()
+	r, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestBloomProbeHonorsLiveWrites(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r, err = p.Execute() // same compiled plan, re-probed per execution
+	r, err = p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{}) // same compiled plan, re-probed per execution
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,7 +34,7 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss / size 1", st)
 	}
-	res, err := p2.Execute()
+	res, err := p2.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Error("LRU entry survived eviction")
 	}
 	// … while the evicted plan stays independently usable.
-	if _, err := plans[0].Execute(); err != nil {
+	if _, err := plans[0].ExecuteParallelContextWithStats(context.Background(), 1, &Stats{}); err != nil {
 		t.Errorf("evicted plan broken: %v", err)
 	}
 	// queries[2] was touched most recently before the re-insert and must
@@ -128,11 +129,11 @@ func TestCacheCrossGraphIsolation(t *testing.T) {
 	if st := c.Stats(); st.Size != 2 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want two independent entries", st)
 	}
-	r1, err := p1.Execute()
+	r1, err := p1.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p2.Execute()
+	r2, err := p2.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestCacheConcurrentGet(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := p.Execute(); err != nil {
+				if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{}); err != nil {
 					errs <- err
 					return
 				}
@@ -184,10 +185,10 @@ func TestCacheConcurrentGet(t *testing.T) {
 	}
 }
 
-// gateGraph wraps a store behind the plain Graph interface (hiding its
-// native FastGraph, like storetest.stringOnly) and parks any Prepare
-// against it inside CountLabel until the gate is released. blocked counts
-// the CountLabel calls that found the gate closed — i.e. the number of
+// gateGraph wraps a store and parks any Prepare against it inside
+// CountLabelID (which the planner calls to pick a scan label) until the
+// gate is released. blocked counts the CountLabelID calls that found the
+// gate closed — i.e. the number of
 // compiles that actually started while the gate was shut — which is how
 // the singleflight tests prove "exactly one compile".
 type gateGraph struct {
@@ -196,14 +197,14 @@ type gateGraph struct {
 	blocked atomic.Int32
 }
 
-func (g *gateGraph) CountLabel(label string) int {
+func (g *gateGraph) CountLabelID(label storage.SymbolID) int {
 	select {
 	case <-g.gate:
 	default:
 		g.blocked.Add(1)
 		<-g.gate
 	}
-	return g.Graph.CountLabel(label)
+	return g.Graph.CountLabelID(label)
 }
 
 // waitFor polls until cond is satisfied or a deadline passes.
@@ -272,7 +273,7 @@ func TestCacheSingleflightColdMiss(t *testing.T) {
 		t.Errorf("stats = %+v, want %d misses / %d shared / 0 hits / size 1", st, workers, workers-1)
 	}
 	// The shared plan must actually run.
-	res, err := plans[0].Execute()
+	res, err := plans[0].ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +336,12 @@ type panicGraph struct {
 	panicked atomic.Bool
 }
 
-func (g *panicGraph) CountLabel(label string) int {
+func (g *panicGraph) CountLabelID(label storage.SymbolID) int {
 	<-g.gate
 	if g.panicked.CompareAndSwap(false, true) {
 		panic("compile blew up")
 	}
-	return g.Graph.CountLabel(label)
+	return g.Graph.CountLabelID(label)
 }
 
 // TestCacheSingleflightLeaderPanic checks a panicking compile cannot
@@ -448,7 +449,7 @@ func TestCachePurge(t *testing.T) {
 	if p2 != g2Plan {
 		t.Error("Purge(g1) evicted a g2 plan")
 	}
-	if _, err := g1Plan.Execute(); err != nil {
+	if _, err := g1Plan.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{}); err != nil {
 		t.Errorf("held plan broken after purge: %v", err)
 	}
 	// Purging a graph with no entries is a no-op.
@@ -488,7 +489,7 @@ func TestCachePurgeInflight(t *testing.T) {
 	if plan == nil {
 		t.Fatal("in-flight compile returned no plan")
 	}
-	if _, err := plan.Execute(); err != nil {
+	if _, err := plan.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{}); err != nil {
 		t.Errorf("plan from purged flight broken: %v", err)
 	}
 	if st := c.Stats(); st.Size != 0 {

@@ -36,16 +36,20 @@ func TestExecuteContextCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.ExecuteContext(context.Background())
+	// A context that can be canceled but never is polls on every
+	// checkpoint and must finish with the same rows as one that cannot.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := p.ExecuteParallelContextWithStats(ctx, 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Execute()
+	want, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != len(want.Rows) {
-		t.Errorf("ExecuteContext rows = %d, Execute rows = %d", len(res.Rows), len(want.Rows))
+		t.Errorf("cancelable-context rows = %d, background rows = %d", len(res.Rows), len(want.Rows))
 	}
 }
 
@@ -58,13 +62,13 @@ func TestExecuteContextAlreadyCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.ExecuteContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := p.ExecuteParallelContextWithStats(ctx, 1, &Stats{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-canceled context: err = %v, want context.Canceled", err)
 	}
 }
 
-// cancelAfterGraph cancels a context from inside the store once HasLabel
-// has been called n times, making mid-query cancellation deterministic:
+// cancelAfterGraph cancels a context from inside the store once
+// HasLabelID has been called n times, making mid-query cancellation deterministic:
 // the executor must notice within cancelMask+1 further iterations.
 type cancelAfterGraph struct {
 	storage.Graph
@@ -73,11 +77,11 @@ type cancelAfterGraph struct {
 	calls  atomic.Int64
 }
 
-func (g *cancelAfterGraph) HasLabel(v storage.VID, label string) bool {
+func (g *cancelAfterGraph) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	if g.calls.Add(1) == g.after {
 		g.cancel()
 	}
-	return g.Graph.HasLabel(v, label)
+	return g.Graph.HasLabelID(v, label)
 }
 
 func TestExecuteContextCancelMidQuery(t *testing.T) {
@@ -85,15 +89,15 @@ func TestExecuteContextCancelMidQuery(t *testing.T) {
 	mem := buildWideGraph(t, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Wrapping hides the native fast path, so the executor goes through
-	// the fallback adapter and every scan candidate calls HasLabel.
+	// Every scan candidate is checked against its node's labels, so each
+	// one calls HasLabelID.
 	g := &cancelAfterGraph{Graph: mem, cancel: cancel, after: 3 * cancelMask}
 	p, err := Prepare(g, cypher.MustParse(`MATCH (a:Drug), (b:Drug) RETURN COUNT(*)`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var st Stats
-	_, err = p.ExecuteContextWithStats(ctx, &st)
+	_, err = p.ExecuteParallelContextWithStats(ctx, 1, &st)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -103,7 +107,7 @@ func TestExecuteContextCancelMidQuery(t *testing.T) {
 		t.Errorf("scanned %d vertices after cancel, want <= %d (~one checkpoint interval)", st.VerticesScanned, limit)
 	}
 	// The plan (and its pooled machine) must stay usable afterwards.
-	res, err := p.ExecuteContext(context.Background())
+	res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestExecuteContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	if _, err := p.ExecuteContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.ExecuteParallelContextWithStats(ctx, 1, &Stats{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/cypher"
@@ -34,21 +35,16 @@ type Result struct {
 }
 
 // Run executes the query against the graph. One-shot convenience wrapper:
-// it compiles the query with Prepare and executes the plan once. Callers
-// that run the same query repeatedly should Prepare once and Execute many
-// times.
+// it compiles the query with Prepare and executes the plan once, serially.
+// Callers that run the same query repeatedly should Prepare once and
+// execute the plan many times.
 func Run(g storage.Graph, q *cypher.Query) (*Result, error) {
-	var st Stats
-	return RunWithStats(g, q, &st)
-}
-
-// RunWithStats executes the query, accumulating work counters into st.
-func RunWithStats(g storage.Graph, q *cypher.Query, st *Stats) (*Result, error) {
 	p, err := Prepare(g, q)
 	if err != nil {
 		return nil, err
 	}
-	return p.ExecuteWithStats(st)
+	var st Stats
+	return p.ExecuteParallelContextWithStats(context.Background(), 1, &st)
 }
 
 // appendRowKey appends the canonical composite key of a row to dst.

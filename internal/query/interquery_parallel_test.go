@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func TestInterQueryParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Prepare(%q): %v", src, err)
 			}
-			ref, err := p.Execute()
+			ref, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 			if err != nil {
 				t.Fatalf("serial Execute(%q): %v", src, err)
 			}
@@ -50,7 +51,7 @@ func TestInterQueryParallelMatchesSerial(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < iters; i++ {
-						res, err := p.ExecuteWithStats(&stats[g])
+						res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &stats[g])
 						if err != nil {
 							t.Errorf("goroutine %d: Execute(%q): %v", g, src, err)
 							return
@@ -71,7 +72,7 @@ func TestInterQueryParallelMatchesSerial(t *testing.T) {
 			// must be exact multiples of one serial run — a cheap way to
 			// catch counter cross-talk between pooled machines.
 			var serial Stats
-			if _, err := p.ExecuteWithStats(&serial); err != nil {
+			if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &serial); err != nil {
 				t.Fatal(err)
 			}
 			for g := range stats {
@@ -114,7 +115,7 @@ func TestInterQuerySharedPlanViaCache(t *testing.T) {
 						t.Errorf("goroutine %d: %v", g, err)
 						return
 					}
-					res, err := p.Execute()
+					res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 					if err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
 						return

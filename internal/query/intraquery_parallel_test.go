@@ -111,7 +111,7 @@ func checkIntraShapes(t *testing.T, g storage.Graph, wantParallel bool) {
 			t.Errorf("plan for %q should be parallelizable", shape.src)
 		}
 		var serialStats Stats
-		ref, err := p.ExecuteWithStats(&serialStats)
+		ref, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &serialStats)
 		if err != nil {
 			t.Fatalf("serial Execute(%q): %v", shape.src, err)
 		}
@@ -123,7 +123,7 @@ func checkIntraShapes(t *testing.T, g storage.Graph, wantParallel bool) {
 			var pst Stats
 			res, err := p.ExecuteParallelContextWithStats(context.Background(), workers, &pst)
 			if err != nil {
-				t.Fatalf("ExecuteParallel(%q, %d workers): %v", shape.src, workers, err)
+				t.Fatalf("ExecuteParallelContextWithStats(%q, %d workers): %v", shape.src, workers, err)
 			}
 			if shape.ordered {
 				if got := rowStrings(res); !reflect.DeepEqual(got, wantOrdered) {
@@ -195,7 +195,7 @@ func TestIntraQueryParallelLiveDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.ExecuteParallel(4)
+	res, err := p.ExecuteParallelContextWithStats(context.Background(), 4, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +203,45 @@ func TestIntraQueryParallelLiveDelta(t *testing.T) {
 		t.Fatalf("COUNT over base+delta = %v, want %d", got, base+extra)
 	}
 	checkIntraShapes(t, s, true)
+}
+
+// TestIntraQuerySerialReadsPinnedSnapshot checks that a serial execution
+// reads the snapshot it pins, as a parallel one does: a write that lands
+// while the query streams its rows must not show up in them.
+func TestIntraQuerySerialReadsPinnedSnapshot(t *testing.T) {
+	const n = 200
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s, err := diskstore.Open(t.TempDir(), diskstore.Options{PageSize: 512, CachePages: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			buildPeopleGraph(t, s, n)
+			if err := s.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			p, err := Prepare(s, cypher.MustParse(`MATCH (p:Person) RETURN p.name`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			err = p.StreamParallelContextWithStats(context.Background(), workers, &Stats{}, func([]graph.Value) error {
+				rows++
+				if rows == 1 {
+					_, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutAddVertex, Labels: []string{"Person"}}})
+					return err
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows != n {
+				t.Errorf("streamed %d rows, want the %d the query's snapshot holds", rows, n)
+			}
+		})
+	}
 }
 
 // TestIntraQueryParallelDuringCompact is the epoch-swap stress test:
@@ -271,7 +310,7 @@ func TestIntraQueryParallelDuringCompact(t *testing.T) {
 				t.Fatalf("Prepare(%q): %v", shape.src, err)
 			}
 			r := reference{shape: shape, p: p}
-			res, err := p.ExecuteWithStats(&r.st)
+			res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &r.st)
 			if err != nil {
 				t.Fatalf("serial Execute(%q): %v", shape.src, err)
 			}
@@ -293,7 +332,7 @@ func TestIntraQueryParallelDuringCompact(t *testing.T) {
 					var pst Stats
 					res, err := r.p.ExecuteParallelContextWithStats(context.Background(), workers, &pst)
 					if err != nil {
-						t.Errorf("round %d: ExecuteParallel(%q, %d workers): %v", round, r.shape.src, workers, err)
+						t.Errorf("round %d: ExecuteParallelContextWithStats(%q, %d workers): %v", round, r.shape.src, workers, err)
 						return
 					}
 					if r.shape.ordered {
@@ -355,14 +394,14 @@ func TestIntraQueryPlannerStaysSerial(t *testing.T) {
 	if !p.Parallelizable() {
 		t.Fatalf("plan for %q should be shape-eligible", src)
 	}
-	if n := b.CountLabel("Admin"); n >= MinParallelRootCount {
+	if n := b.CountLabelID(b.LabelID("Admin")); n >= MinParallelRootCount {
 		t.Fatalf("test premise broken: Admin count %d >= threshold %d", n, MinParallelRootCount)
 	}
-	ref, err := p.Execute()
+	ref, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.ExecuteParallel(8)
+	res, err := p.ExecuteParallelContextWithStats(context.Background(), 8, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +423,7 @@ func TestIntraQueryStreamMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := p.Execute()
+	ref, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}

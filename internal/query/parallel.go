@@ -63,35 +63,24 @@ func (p *Prepared) Parallelizable() bool { return p.parallelOK }
 // Columns returns the plan's output column names.
 func (p *Prepared) Columns() []string { return p.cols }
 
-// ExecuteParallel runs the plan over up to workers morsel workers and
-// materializes the result. Any workers value <= 1, an ineligible plan
-// shape, or a root label below the parallelism threshold falls back to
-// the serial executor, so callers can pass their knob unconditionally.
-func (p *Prepared) ExecuteParallel(workers int) (*Result, error) {
-	var st Stats
-	return p.ExecuteParallelContextWithStats(context.Background(), workers, &st)
-}
-
-// ExecuteParallelWithStats is ExecuteParallel accumulating work counters
-// into st. Counters are exact: per-worker Stats are merged once at the
-// end, so parallel execution reports the same totals serial execution
-// would.
-func (p *Prepared) ExecuteParallelWithStats(workers int, st *Stats) (*Result, error) {
-	return p.ExecuteParallelContextWithStats(context.Background(), workers, st)
-}
-
-// ExecuteParallelContextWithStats is the full-control variant: context
+// ExecuteParallelContextWithStats runs the plan over up to workers morsel
+// workers and materializes the result. Any workers value <= 1, an
+// ineligible plan shape, or a root label below the parallelism threshold
+// runs serially, so callers can pass their knob unconditionally. Context
 // cancellation stops every worker within a bounded number of iterations,
-// and work counters accumulate into st.
+// and work counters accumulate into st: per-worker Stats are merged once
+// at the end, so parallel execution reports the same totals serial
+// execution would. Safe for concurrent callers of the same plan, but
+// each call needs its own st.
 func (p *Prepared) ExecuteParallelContextWithStats(ctx context.Context, workers int, st *Stats) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	g, unpin := p.pinView()
 	defer unpin()
 	scans := p.planMorsels(g, workers)
 	if scans == nil {
-		return p.ExecuteContextWithStats(ctx, st)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		return p.runSerial(ctx, p.pool.Get().(*machine), g, st)
 	}
 	var rows [][]graph.Value
 	err := p.runParallel(ctx, g, scans, min(workers, len(scans)), st, func(batch [][]graph.Value) error {
@@ -115,8 +104,12 @@ func (p *Prepared) ExecuteParallelContextWithStats(ctx context.Context, workers 
 // bounded memory. Shapes whose semantics need the full set first
 // (grouping, ORDER BY, top-k LIMIT) deliver their rows when the merge
 // completes. An error from fn cancels the remaining workers and is
-// returned. Row order matches Execute only where ORDER BY forces one.
+// returned. Row order matches ExecuteParallelContextWithStats only where
+// ORDER BY forces one.
 func (p *Prepared) StreamParallelContextWithStats(ctx context.Context, workers int, st *Stats, fn func(row []graph.Value) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	deliver := func(batch [][]graph.Value) error {
 		for _, row := range batch {
 			if err := fn(row); err != nil {
@@ -128,28 +121,20 @@ func (p *Prepared) StreamParallelContextWithStats(ctx context.Context, workers i
 	g, unpin := p.pinView()
 	defer unpin()
 	if scans := p.planMorsels(g, workers); scans != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		return p.runParallel(ctx, g, scans, min(workers, len(scans)), st, deliver, nil)
 	}
 	// Serial fallback. Plain projections stream row by row through the
 	// machine's emit hook; shapes that buffer anyway (grouping, DISTINCT,
 	// ORDER BY, LIMIT) materialize and replay.
 	if p.grouped || p.distinct || len(p.orderCols) > 0 || p.limit >= 0 {
-		res, err := p.ExecuteContextWithStats(ctx, st)
+		res, err := p.runSerial(ctx, p.pool.Get().(*machine), g, st)
 		if err != nil {
 			return err
 		}
 		return deliver(res.Rows)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	m := p.pool.Get().(*machine)
-	m.reset(p, st)
-	m.done = ctx.Done()
-	m.ctx = ctx
+	m.reset(ctx, p, g, st)
 	emitted := int64(0)
 	m.emit = func(row []graph.Value) error {
 		emitted++
@@ -161,13 +146,13 @@ func (p *Prepared) StreamParallelContextWithStats(ctx context.Context, workers i
 	return err
 }
 
-// pinView pins the graph state a multi-morsel execution reads. A backend
-// that both accepts concurrent mutations and supports snapshots gets a
-// pinned point-in-time view, so a background Compact swapping base
-// generations mid-query cannot shift the view between morsels; every
+// pinView pins the graph state an execution reads, serial or parallel. A
+// backend that both accepts concurrent mutations and supports snapshots
+// gets a pinned point-in-time view, so neither a write nor a background
+// Compact swapping base generations mid-query can shift the view; every
 // other backend reads live with a no-op unpin. Callers must invoke the
 // returned unpin when the execution is done.
-func (p *Prepared) pinView() (storage.FastGraph, func()) {
+func (p *Prepared) pinView() (storage.Graph, func()) {
 	if _, mutable := p.g.(storage.MutableGraph); mutable {
 		if sn, ok := p.g.(storage.Snapshotter); ok {
 			s := sn.AcquireSnapshot()
@@ -180,11 +165,11 @@ func (p *Prepared) pinView() (storage.FastGraph, func()) {
 // planMorsels makes the runtime half of the parallelism decision and, when
 // parallel execution pays off, partitions the root scan over g (the
 // pinned view from pinView). A nil return means: run serially.
-func (p *Prepared) planMorsels(g storage.FastGraph, workers int) []storage.VertexScan {
+func (p *Prepared) planMorsels(g storage.Graph, workers int) []storage.VertexScan {
 	if workers <= 1 || !p.parallelOK {
 		return nil
 	}
-	if p.probe != nil && p.probe.provablyEmpty(g) {
+	if p.probe != nil && p.probe.provablyEmpty() {
 		// The statistics guard proves the root scan empty: fall back to
 		// the serial path, whose root step performs (and counts) the
 		// actual skip — no point partitioning a scan that won't run.
@@ -206,7 +191,7 @@ func (p *Prepared) planMorsels(g storage.FastGraph, workers int) []storage.Verte
 // the exact merged work counters. profSteps, when non-nil, must have one
 // slot per worker; each worker parks its raw PROFILE counters there
 // before its machine is released, and the profiled caller folds them.
-func (p *Prepared) runParallel(ctx context.Context, g storage.FastGraph, scans []storage.VertexScan, workers int, st *Stats, deliver func([][]graph.Value) error, profSteps [][]stepCounts) error {
+func (p *Prepared) runParallel(ctx context.Context, g storage.Graph, scans []storage.VertexScan, workers int, st *Stats, deliver func([][]graph.Value) error, profSteps [][]stepCounts) error {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -270,10 +255,7 @@ func (p *Prepared) runParallel(ctx context.Context, g storage.FastGraph, scans [
 			} else {
 				m = p.pool.Get().(*machine)
 			}
-			m.reset(p, &workerStats[w])
-			m.g = g // the pinned view, not necessarily p.g
-			m.done = wctx.Done()
-			m.ctx = wctx
+			m.reset(wctx, p, g, &workerStats[w])
 			m.trackDistinct = p.grouped && hasDistinctAgg
 
 			var batch [][]graph.Value
@@ -391,7 +373,7 @@ func (p *Prepared) runParallel(ctx context.Context, g storage.FastGraph, scans [
 	switch {
 	case p.grouped:
 		sink := p.pool.Get().(*machine)
-		sink.reset(p, st)
+		sink.reset(context.Background(), p, g, st)
 		var mergeErr error
 		for _, wm := range machines {
 			if mergeErr == nil {

@@ -20,11 +20,11 @@ import (
 // A Prepared is bound to the graph it was compiled for (symbol IDs are
 // store-specific) but is itself immutable once Prepare returns: all
 // mutable execution state lives in a per-call machine recycled through an
-// internal sync.Pool, so Execute is safe for any number of concurrent
+// internal sync.Pool, so execution is safe for any number of concurrent
 // callers sharing one plan — provided the underlying store supports
 // concurrent readers (both built-in backends do once fully built).
 type Prepared struct {
-	g    storage.FastGraph
+	g    storage.Graph
 	cols []string
 
 	// moves is the compiled traversal order of every pattern; each pooled
@@ -83,17 +83,18 @@ type citem struct {
 	out    cexpr
 }
 
-// machine is the mutable execution state of one in-flight Execute call.
+// machine is the mutable execution state of one in-flight execution.
 // Each machine is owned by exactly one goroutine at a time; the plan's
 // pool hands it out and takes it back around every execution.
 type machine struct {
-	g     storage.FastGraph
+	// g is the view this execution reads: the plan's store, or the
+	// snapshot pinView pinned for it.
+	g     storage.Graph
 	stats *Stats
 	err   error
 
-	// Cancellation: done/ctx are set only by the Context execution
-	// variants. The traversal callbacks poll done every cancelMask+1
-	// iterations (a non-blocking channel read), so a deadline or a hung
+	// Cancellation: the traversal callbacks poll done (nil for a context
+	// that can never be canceled) every cancelMask+1 iterations (a non-blocking channel read), so a deadline or a hung
 	// client stops a scan mid-flight instead of after it.
 	done <-chan struct{}
 	ctx  context.Context
@@ -199,8 +200,7 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 	if q.Where != nil && cypher.HasAggregate(q.Where) {
 		return nil, fmt.Errorf("query: aggregates are not allowed in WHERE")
 	}
-	fg := storage.Fast(g)
-	c := &compiler{g: fg, slots: map[string]int{}}
+	c := &compiler{g: g, slots: map[string]int{}}
 	// Number every pattern variable into a slot first so expressions can
 	// reference variables bound by any pattern.
 	for _, p := range q.Patterns {
@@ -208,7 +208,7 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 			c.slot(n.Var)
 		}
 	}
-	p := &Prepared{g: fg, limit: q.Limit, distinct: q.Distinct}
+	p := &Prepared{g: g, limit: q.Limit, distinct: q.Distinct}
 	for _, ri := range q.Return {
 		p.cols = append(p.cols, ri.Name())
 	}
@@ -264,10 +264,11 @@ func (p *Prepared) planProbe() {
 	if mv.scanName == "" || len(mv.node.props) == 0 {
 		return
 	}
-	if _, ok := p.g.(storage.Statistics); !ok {
+	st, ok := p.g.(storage.Statistics)
+	if !ok {
 		return
 	}
-	p.probe = &rootProbe{label: mv.scanName, props: mv.node.props}
+	p.probe = &rootProbe{stats: st, label: mv.scanName, props: mv.node.props}
 }
 
 // planParallel is the compile-time half of the parallelism decision: it
@@ -332,47 +333,11 @@ func nameAnonymousVars(q *cypher.Query) {
 	}
 }
 
-// Execute runs the plan and materializes the result. Safe to call from
-// many goroutines at once on the same plan.
-func (p *Prepared) Execute() (*Result, error) {
-	var st Stats
-	return p.ExecuteWithStats(&st)
-}
-
-// ExecuteWithStats runs the plan, accumulating work counters into st.
-// Safe for concurrent callers of the same plan, but each call needs its
-// own st (or external synchronization around a shared one).
-func (p *Prepared) ExecuteWithStats(st *Stats) (*Result, error) {
-	return p.run(p.pool.Get().(*machine), st)
-}
-
-// ExecuteContext runs the plan under a context: if ctx is canceled or its
-// deadline passes mid-execution the traversal unwinds within a bounded
-// number of iterations and the context's error is returned. Serving paths
-// use this for per-request timeouts and client-disconnect cancellation.
-func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
-	var st Stats
-	return p.ExecuteContextWithStats(ctx, &st)
-}
-
-// ExecuteContextWithStats is ExecuteContext accumulating work counters
-// into st. A context that can never be canceled (Done() == nil) costs
-// nothing extra on the hot path.
-func (p *Prepared) ExecuteContextWithStats(ctx context.Context, st *Stats) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m := p.pool.Get().(*machine)
-	m.done = ctx.Done()
-	m.ctx = ctx
-	return p.run(m, st)
-}
-
-// run drives one execution on a machine fetched from the pool and returns
-// the machine afterwards. Cancellation state (done/ctx) must be set by the
-// caller before run; it is cleared here before the machine is pooled.
-func (p *Prepared) run(m *machine, st *Stats) (*Result, error) {
-	m.reset(p, st)
+// runSerial drives one serial execution on m, reading g, and materializes
+// the result. m comes from the pool or from newProfiledMachine; release
+// hands it back (profiled machines are dropped, their counters intact).
+func (p *Prepared) runSerial(ctx context.Context, m *machine, g storage.Graph, st *Stats) (*Result, error) {
+	m.reset(ctx, p, g, st)
 	var res *Result
 	err := m.root()
 	if err == nil {
@@ -385,12 +350,15 @@ func (p *Prepared) run(m *machine, st *Stats) (*Result, error) {
 	return res, nil
 }
 
-// reset prepares a pooled machine for a fresh execution; cancellation
-// state (done/ctx) is layered on top by the caller when needed.
-func (m *machine) reset(p *Prepared, st *Stats) {
-	m.g = p.g
+// reset prepares a machine for a fresh execution reading g under ctx. A
+// context that can never be canceled (Done() == nil) costs nothing extra
+// on the hot path.
+func (m *machine) reset(ctx context.Context, p *Prepared, g storage.Graph, st *Stats) {
+	m.g = g
 	m.stats = st
 	m.err = nil
+	m.done = ctx.Done()
+	m.ctx = ctx
 	for i := range m.slots {
 		m.slots[i] = unbound
 	}
@@ -467,23 +435,23 @@ type cprop struct {
 // rootProbe is the compiled bloom/statistics guard for a plan whose root
 // is an unbound label scan with inline property constraints.
 type rootProbe struct {
+	// stats is the plan's store, never a pinned snapshot: stores only
+	// grow, so a value the store's statistics prove absent now was absent
+	// in every earlier view too.
+	stats storage.Statistics
 	label string
 	props []cprop
 }
 
-// provablyEmpty reports whether g's statistics prove that no vertex
-// under the probed label carries one of the root node's required
-// property values — in which case the label scan cannot emit a row and
-// may be skipped outright. Conservative: a backend without statistics
-// (or one whose answers are currently diluted by live writes) makes
-// this return false and the scan runs normally.
-func (rp *rootProbe) provablyEmpty(g storage.FastGraph) bool {
-	st, ok := g.(storage.Statistics)
-	if !ok {
-		return false
-	}
+// provablyEmpty reports whether the statistics prove that no vertex under
+// the probed label carries one of the root node's required property
+// values — in which case the label scan cannot emit a row and may be
+// skipped outright. Conservative: a store whose answers are currently
+// diluted by live writes makes this return false and the scan runs
+// normally.
+func (rp *rootProbe) provablyEmpty() bool {
 	for i := range rp.props {
-		if !st.MayHaveProp(rp.label, rp.props[i].keyName, rp.props[i].want) {
+		if !rp.stats.MayHaveProp(rp.label, rp.props[i].keyName, rp.props[i].want) {
 			return true
 		}
 	}
@@ -539,12 +507,13 @@ func (c *compiler) planPattern(pat *cypher.PathPattern, boundSlots map[int]bool)
 			// Scan the most selective label; AnySymbol scans everything.
 			mv.scanLabel = storage.AnySymbol
 			if len(n.Labels) > 0 {
-				best := c.g.CountLabel(n.Labels[0])
 				mv.scanLabel = c.g.LabelID(n.Labels[0])
 				mv.scanName = n.Labels[0]
+				best := c.g.CountLabelID(mv.scanLabel)
 				for _, l := range n.Labels[1:] {
-					if cnt := c.g.CountLabel(l); cnt < best {
-						mv.scanLabel, best = c.g.LabelID(l), cnt
+					id := c.g.LabelID(l)
+					if cnt := c.g.CountLabelID(id); cnt < best {
+						mv.scanLabel, best = id, cnt
 						mv.scanName = l
 					}
 				}
@@ -576,9 +545,9 @@ func (c *compiler) planPattern(pat *cypher.PathPattern, boundSlots map[int]bool)
 }
 
 func (c *compiler) minLabelCount(labels []string) int64 {
-	best := c.g.CountLabel(labels[0])
+	best := c.g.CountLabelID(c.g.LabelID(labels[0]))
 	for _, l := range labels[1:] {
-		if cnt := c.g.CountLabel(l); cnt < best {
+		if cnt := c.g.CountLabelID(c.g.LabelID(l)); cnt < best {
 			best = cnt
 		}
 	}
@@ -671,7 +640,7 @@ func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 			// the store's answers back to "maybe") are always honored.
 			probe := p.probe
 			return func() error {
-				if probe.provablyEmpty(m.g) {
+				if probe.provablyEmpty() {
 					bloomSkips.Add(1)
 					return nil
 				}

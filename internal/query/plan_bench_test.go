@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cypher"
@@ -28,7 +29,7 @@ func BenchmarkTwoHopPrepared(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ExecuteWithStats(&st); err != nil {
+		if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &st); err != nil {
 			b.Fatal(err)
 		}
 	}

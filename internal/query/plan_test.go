@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -8,10 +9,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/memstore"
 )
-
-// stringOnly hides memstore's native fast path so queries compile through
-// the generic fallback adapter.
-type stringOnly struct{ storage.Graph }
 
 func TestPreparedPlanIsReusable(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b storage.Builder) {
@@ -23,7 +20,7 @@ func TestPreparedPlanIsReusable(t *testing.T) {
 		}
 		var first []string
 		for run := 0; run < 3; run++ {
-			res, err := p.Execute()
+			res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{})
 			if err != nil {
 				t.Fatalf("run %d: %v", run, err)
 			}
@@ -40,37 +37,6 @@ func TestPreparedPlanIsReusable(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestCompiledMatchesFallback runs the full query battery through the
-// generic string-API adapter and compares row-for-row with the native fast
-// path, proving the compiled plan does not depend on native SymbolID
-// support.
-func TestCompiledMatchesFallback(t *testing.T) {
-	queries := []string{
-		`MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc`,
-		`MATCH (d:Drug)-[:cause]->(r:Risk)<-[:unionOf]-(ci:ContraIndication) RETURN d.name, ci.desc`,
-		`MATCH (d:Drug {name: 'Aspirin'})-[:treat]->(i:Indication) RETURN i.desc`,
-		`MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, size(COLLECT(i.desc))`,
-		`MATCH (d:Drug) WHERE d.name = 'Aspirin' OR d.brand = 'Motrin' RETURN d.name, d.brand`,
-		`MATCH (d:Drug)-[]->() RETURN COUNT(*)`,
-		`MATCH (x:NoSuchLabel) RETURN COUNT(*)`,
-	}
-	mem := memstore.New()
-	buildMedGraph(t, mem)
-	for _, src := range queries {
-		native := mustRun(t, mem, src)
-		wrapped, err := Run(stringOnly{mem}, cypher.MustParse(src))
-		if err != nil {
-			t.Fatalf("fallback Run(%q): %v", src, err)
-		}
-		SortRowsForComparison(native.Rows)
-		SortRowsForComparison(wrapped.Rows)
-		if !reflect.DeepEqual(rowStrings(native), rowStrings(wrapped)) {
-			t.Errorf("fallback disagreement on %q:\n  native: %v\nfallback: %v",
-				src, rowStrings(native), rowStrings(wrapped))
-		}
-	}
 }
 
 // buildTwoHopGraph wires fanout² two-hop paths: A -r-> 10×B -s-> 10×C per
@@ -110,7 +76,7 @@ func TestCompiledExecutionAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	res, err := p.ExecuteWithStats(&st)
+	res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +84,7 @@ func TestCompiledExecutionAllocs(t *testing.T) {
 		t.Fatalf("COUNT(*) = %d, want %d", got, bindings)
 	}
 	perExec := testing.AllocsPerRun(20, func() {
-		if _, err := p.ExecuteWithStats(&st); err != nil {
+		if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &st); err != nil {
 			t.Fatal(err)
 		}
 	})

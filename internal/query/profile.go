@@ -97,58 +97,27 @@ func (prof *Profile) addSteps(counts []stepCounts) {
 	}
 }
 
-// ExecuteContextProfiled is ExecuteContextWithStats with per-step
-// operator counters: it returns the materialized result alongside the
-// execution's Profile.
-func (p *Prepared) ExecuteContextProfiled(ctx context.Context, st *Stats) (*Result, *Profile, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	prof := p.NewProfile()
-	m := p.newProfiledMachine()
-	m.done = ctx.Done()
-	m.ctx = ctx
-	res, err := p.runProfiled(m, st, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, prof, nil
-}
-
-// runProfiled runs a machine built by newProfiledMachine — its step chain
-// counts into m.psteps — and folds the counters into prof. release is
-// still called for its reference-clearing, but profiled machines never
-// re-enter the pool.
-func (p *Prepared) runProfiled(m *machine, st *Stats, prof *Profile) (*Result, error) {
-	m.reset(p, st)
-	var res *Result
-	err := m.root()
-	if err == nil {
-		res, err = p.finish(m)
-	}
-	prof.addSteps(m.psteps)
-	p.release(m)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // ExecuteParallelContextProfiled is ExecuteParallelContextWithStats with
 // per-step operator counters. The profile reports whether the morsel
 // driver actually ran, how many morsels it dispatched, and the exact
 // merged per-step counters — identical totals to a serial profiled run.
 func (p *Prepared) ExecuteParallelContextProfiled(ctx context.Context, workers int, st *Stats) (*Result, *Profile, error) {
-	g, unpin := p.pinView()
-	defer unpin()
-	scans := p.planMorsels(g, workers)
-	if scans == nil {
-		return p.ExecuteContextProfiled(ctx, st)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	g, unpin := p.pinView()
+	defer unpin()
 	prof := p.NewProfile()
+	scans := p.planMorsels(g, workers)
+	if scans == nil {
+		m := p.newProfiledMachine()
+		res, err := p.runSerial(ctx, m, g, st)
+		if err != nil {
+			return nil, nil, err
+		}
+		prof.addSteps(m.psteps)
+		return res, prof, nil
+	}
 	prof.Parallel = true
 	prof.Morsels = len(scans)
 	prof.Workers = min(workers, len(scans))
@@ -168,10 +137,4 @@ func (p *Prepared) ExecuteParallelContextProfiled(ctx context.Context, workers i
 		rows = [][]graph.Value{}
 	}
 	return &Result{Columns: p.cols, Rows: rows}, prof, nil
-}
-
-// ExecuteParallelProfiled is the context-free convenience used by the
-// pgsquery CLI's -profile flag.
-func (p *Prepared) ExecuteParallelProfiled(workers int, st *Stats) (*Result, *Profile, error) {
-	return p.ExecuteParallelContextProfiled(context.Background(), workers, st)
 }

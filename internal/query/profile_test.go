@@ -31,7 +31,7 @@ func TestProfileTwoHopStepCounts(t *testing.T) {
 		`MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) RETURN a.name, c.name`)
 
 	var st Stats
-	res, prof, err := p.ExecuteContextProfiled(context.Background(), &st)
+	res, prof, err := p.ExecuteParallelContextProfiled(context.Background(), 1, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 	} {
 		p := profilePlan(t, src)
 		var serialSt Stats
-		_, serial, err := p.ExecuteContextProfiled(context.Background(), &serialSt)
+		_, serial, err := p.ExecuteParallelContextProfiled(context.Background(), 1, &serialSt)
 		if err != nil {
 			t.Fatalf("%q serial: %v", src, err)
 		}
@@ -129,18 +129,18 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 func TestProfileOffLeavesNoCounters(t *testing.T) {
 	p := profilePlan(t, `MATCH (p:Person) WHERE p.age > 5 RETURN p.name`)
 	var st1 Stats
-	_, prof1, err := p.ExecuteContextProfiled(context.Background(), &st1)
+	_, prof1, err := p.ExecuteParallelContextProfiled(context.Background(), 1, &st1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unprofiled run on the same (pooled) machine.
-	if _, err := p.Execute(); err != nil {
+	if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &Stats{}); err != nil {
 		t.Fatal(err)
 	}
 	// A second profiled run must report identical counters, not doubled
 	// ones, proving no counter state survives across executions.
 	var st2 Stats
-	_, prof2, err := p.ExecuteContextProfiled(context.Background(), &st2)
+	_, prof2, err := p.ExecuteParallelContextProfiled(context.Background(), 1, &st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestProfileOffLeavesNoCounters(t *testing.T) {
 func TestProfileBoundAndBindSteps(t *testing.T) {
 	p := profilePlan(t, `MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(a) RETURN a.name`)
 	var st Stats
-	_, prof, err := p.ExecuteContextProfiled(context.Background(), &st)
+	_, prof, err := p.ExecuteParallelContextProfiled(context.Background(), 1, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

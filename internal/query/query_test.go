@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -332,8 +333,11 @@ func TestStatsCounters(t *testing.T) {
 	mem := memstore.New()
 	buildMedGraph(t, mem)
 	var st Stats
-	q := cypher.MustParse(`MATCH (d:Drug)-[:treat]->(i:Indication) RETURN i.desc`)
-	if _, err := RunWithStats(mem, q, &st); err != nil {
+	p, err := Prepare(mem, cypher.MustParse(`MATCH (d:Drug)-[:treat]->(i:Indication) RETURN i.desc`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.EdgesTraversed == 0 || st.VerticesScanned == 0 || st.RowsEmitted != 2 {
@@ -362,8 +366,11 @@ func TestPlannerStartsAtSmallestLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	q := cypher.MustParse(`MATCH (b:Big)<-[:r]-(s:Small) RETURN COUNT(*)`)
-	res, err := RunWithStats(mem, q, &st)
+	p, err := Prepare(mem, cypher.MustParse(`MATCH (b:Big)<-[:r]-(s:Small) RETURN COUNT(*)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.ExecuteParallelContextWithStats(context.Background(), 1, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

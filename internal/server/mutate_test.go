@@ -96,10 +96,10 @@ func TestMutateValueKinds(t *testing.T) {
 		t.Fatalf("status = %d (%s)", status, errMsg)
 	}
 	v := mr.Vertices[0]
-	if got, _ := ds.Prop(v, "count"); got.String() != "9007199254740993" {
+	if got, _ := ds.PropID(v, ds.KeyID("count")); got.String() != "9007199254740993" {
 		t.Errorf("count round-tripped to %s; large int lost precision", got)
 	}
-	if got, _ := ds.Prop(v, "doses"); got.String() != `[100, 200.5, "oral", true, null]` {
+	if got, _ := ds.PropID(v, ds.KeyID("doses")); got.String() != `[100, 200.5, "oral", true, null]` {
 		t.Errorf("doses = %s", got)
 	}
 

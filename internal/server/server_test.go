@@ -200,7 +200,7 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// gatedGraph parks every ForEachVertex call on a gate channel and counts
+// gatedGraph parks every ForEachVertexID call on a gate channel and counts
 // how many executors are parked, making "a query is running right now"
 // observable and controllable from the test body.
 type gatedGraph struct {
@@ -209,10 +209,10 @@ type gatedGraph struct {
 	parked atomic.Int32
 }
 
-func (g *gatedGraph) ForEachVertex(label string, fn func(storage.VID) bool) {
+func (g *gatedGraph) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
 	g.parked.Add(1)
 	<-g.gate
-	g.Graph.ForEachVertex(label, fn)
+	g.Graph.ForEachVertexID(label, fn)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -293,7 +293,7 @@ func TestSaturationSheds429(t *testing.T) {
 	}
 }
 
-// sleeperGraph delays every HasLabel call, making a label scan take a
+// sleeperGraph delays every HasLabelID call, making a label scan take a
 // predictable minimum wall time so a short request timeout reliably
 // expires at the executor's first cancellation checkpoint.
 type sleeperGraph struct {
@@ -301,13 +301,13 @@ type sleeperGraph struct {
 	delay time.Duration
 }
 
-func (g *sleeperGraph) HasLabel(v storage.VID, label string) bool {
+func (g *sleeperGraph) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	time.Sleep(g.delay)
-	return g.Graph.HasLabel(v, label)
+	return g.Graph.HasLabelID(v, label)
 }
 
 func TestRequestTimeoutCancelsMidQuery(t *testing.T) {
-	// 1000 vertices × 100µs per HasLabel: the first checkpoint (tick 256)
+	// 1000 vertices × 100µs per HasLabelID: the first checkpoint (tick 256)
 	// lands ~25ms in, far past the 5ms deadline; the full scan would take
 	// ~100ms, so a hung cancellation still ends quickly but visibly.
 	g := &sleeperGraph{Graph: buildWideGraph(t, 1000), delay: 100 * time.Microsecond}
@@ -326,7 +326,7 @@ func TestRequestTimeoutCancelsMidQuery(t *testing.T) {
 // dead request context and unwind; the server records it as canceled.
 func TestClientCancelMidQuery(t *testing.T) {
 	// Gate the scan start so the test controls when execution proceeds,
-	// and slow each HasLabel so the post-gate scan takes ~100ms — ample
+	// and slow each HasLabelID so the post-gate scan takes ~100ms — ample
 	// time for the server to register the disconnect and for the executor
 	// to pass several cancellation checkpoints before the scan could end.
 	mem := buildWideGraph(t, 1000)

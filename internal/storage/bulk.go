@@ -64,12 +64,11 @@ type TypeSegmentedGraph interface {
 // DefaultBulkBatch is the BulkLoader's default batch size.
 const DefaultBulkBatch = 4096
 
-// BulkLoader streams vertices and edges into a Builder in batches. It is
-// the write-path analogue of storage.Fast: stores implementing
-// BatchBuilder get the native batched path (deferred degree/index
-// construction, one finalize); any other Builder gets the same API
-// degraded to per-item AddVertex/AddEdge calls, so loading code can be
-// written once against the bulk API.
+// BulkLoader streams vertices and edges into a Builder in batches. Stores
+// implementing BatchBuilder get the native batched path (deferred
+// degree/index construction, one finalize); any other Builder gets the
+// same API degraded to per-item AddVertex/AddEdge calls, so loading code
+// can be written once against the bulk API.
 //
 // Vertex IDs are assigned at buffering time (stores assign VIDs
 // sequentially from NumVertices(); the generic path verifies this), so

@@ -410,7 +410,6 @@ func (s *Store) curEp() *epoch {
 
 var (
 	_ storage.Builder            = (*Store)(nil)
-	_ storage.FastGraph          = (*Store)(nil)
 	_ storage.StatsReporter      = (*Store)(nil)
 	_ storage.BatchBuilder       = (*Store)(nil)
 	_ storage.TypeSegmentedGraph = (*Store)(nil)

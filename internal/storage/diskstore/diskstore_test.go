@@ -70,7 +70,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if got := storetest.Fingerprint(re); got != before {
 		t.Error("reopened store does not match original")
 	}
-	if got, want := re.CountLabel("A"), s.CountLabel("A"); got != want {
+	if got, want := re.CountLabelID(re.LabelID("A")), s.CountLabelID(s.LabelID("A")); got != want {
 		t.Errorf("label index after reopen: %d, want %d", got, want)
 	}
 }
@@ -111,7 +111,7 @@ func TestDropCachePreservesData(t *testing.T) {
 	if err := s.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Prop(v, "k")
+	got, ok := s.PropID(v, s.KeyID("k"))
 	if !ok || got.Str() != "survives" {
 		t.Errorf("after DropCache: %v %v", got, ok)
 	}
@@ -133,7 +133,7 @@ func TestLongStringsSpanPages(t *testing.T) {
 	if err := s.SetProp(v, "blob", graph.S(string(long))); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Prop(v, "blob")
+	got, ok := s.PropID(v, s.KeyID("blob"))
 	if !ok || got.Str() != string(long) {
 		t.Error("multi-page blob corrupted")
 	}
@@ -149,7 +149,7 @@ func TestListRoundTripThroughDisk(t *testing.T) {
 	if err := s.SetProp(v, "list", want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Prop(v, "list")
+	got, ok := s.PropID(v, s.KeyID("list"))
 	if !ok || !got.Equal(want) {
 		t.Errorf("list round trip: %v, want %v", got, want)
 	}
@@ -200,10 +200,10 @@ func TestTypedDegreeAvoidsAdjacencyWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ResetStats()
-	if got := s.Degree(hub, "b", true); got != fan/5 {
+	if got := s.DegreeID(hub, s.TypeID("b"), true); got != fan/5 {
 		t.Fatalf("Degree(hub, b, out) = %d, want %d", got, fan/5)
 	}
-	if got := s.Degree(hub, "a", true); got != fan-fan/5 {
+	if got := s.DegreeID(hub, s.TypeID("a"), true); got != fan-fan/5 {
 		t.Fatalf("Degree(hub, a, out) = %d, want %d", got, fan-fan/5)
 	}
 	st := s.Stats()
@@ -214,7 +214,7 @@ func TestTypedDegreeAvoidsAdjacencyWalk(t *testing.T) {
 	}
 	// And the result still matches an actual walk.
 	n := 0
-	s.ForEachOut(hub, "b", func(storage.EID, storage.VID) bool { n++; return true })
+	s.ForEachOutID(hub, s.TypeID("b"), func(storage.EID, storage.VID) bool { n++; return true })
 	if n != fan/5 {
 		t.Errorf("walk count %d disagrees with degree counter", n)
 	}
@@ -259,7 +259,7 @@ func TestV2StoreRemainsReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := storetest.Fingerprint(s)
-	wantDeg := s.Degree(0, "r1", true)
+	wantDeg := s.DegreeID(0, s.TypeID("r1"), true)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestV2StoreRemainsReadable(t *testing.T) {
 	if got := storetest.Fingerprint(v2); got != want {
 		t.Error("v2 store contents diverge")
 	}
-	if got := v2.Degree(0, "r1", true); got != wantDeg {
+	if got := v2.DegreeID(0, v2.TypeID("r1"), true); got != wantDeg {
 		t.Errorf("v2 typed degree = %d, want %d", got, wantDeg)
 	}
 	// Edges added to a legacy store keep typed degrees correct via the
@@ -283,7 +283,7 @@ func TestV2StoreRemainsReadable(t *testing.T) {
 	if _, err := v2.AddEdge(0, 1, "r1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := v2.Degree(0, "r1", true); got != wantDeg+1 {
+	if got := v2.DegreeID(0, v2.TypeID("r1"), true); got != wantDeg+1 {
 		t.Errorf("v2 typed degree after AddEdge = %d, want %d", got, wantDeg+1)
 	}
 	if err := v2.Close(); err != nil {

@@ -56,7 +56,7 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := s.CountLabel("LA")
+	want := s.CountLabelID(s.LabelID("LA"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 	if got := re.Stats().PageReads; got != 0 {
 		t.Errorf("indexed open read %d pages; want 0 (no vertex scan)", got)
 	}
-	if got := re.CountLabel("LA"); got != want {
+	if got := re.CountLabelID(re.LabelID("LA")); got != want {
 		t.Errorf("CountLabel(LA) from persisted index = %d, want %d", got, want)
 	}
 	if err := re.Close(); err != nil {
@@ -96,7 +96,7 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 	if got := scan.Stats().PageReads; got < vertexPages {
 		t.Errorf("scan open read %d pages, expected at least the %d vertex pages", got, vertexPages)
 	}
-	if got := scan.CountLabel("LA"); got != want {
+	if got := scan.CountLabelID(scan.LabelID("LA")); got != want {
 		t.Errorf("CountLabel(LA) from scan = %d, want %d", got, want)
 	}
 }
@@ -213,7 +213,7 @@ func TestSegmentedTypedTraversalReadsFewerPages(t *testing.T) {
 		}
 		s.ResetStats()
 		n := 0
-		s.ForEachOut(hub, et, func(storage.EID, storage.VID) bool { n++; return true })
+		s.ForEachOutID(hub, s.TypeID(et), func(storage.EID, storage.VID) bool { n++; return true })
 		return n, s.Stats().PageReads
 	}
 
@@ -242,12 +242,12 @@ func TestSegmentedTypedTraversalReadsFewerPages(t *testing.T) {
 		t.Errorf("segmented typed traversal read %d pages vs %d unsegmented; expected well under a third", segReads, plainReads)
 	}
 	// Typed degrees keep answering from the degree chain after Compact.
-	if got := seg.Degree(segHub, "b", true); got != wantN {
+	if got := seg.DegreeID(segHub, seg.TypeID("b"), true); got != wantN {
 		t.Errorf("Degree after Compact = %d, want %d", got, wantN)
 	}
 	// And the untyped walk still sees every edge.
 	n := 0
-	seg.ForEachOut(segHub, "", func(storage.EID, storage.VID) bool { n++; return true })
+	seg.ForEachOutID(segHub, storage.AnySymbol, func(storage.EID, storage.VID) bool { n++; return true })
 	if n != fan {
 		t.Errorf("untyped walk after Compact visited %d, want %d", n, fan)
 	}
@@ -328,7 +328,7 @@ func TestCompactUpgradeRoundTrip(t *testing.T) {
 	if got := storetest.Fingerprint(v4); got != wantFP {
 		t.Error("upgraded store contents diverge from the v3 original")
 	}
-	storetest.CheckFastEquivalence(t, v4, storage.Fast(v4))
+	storetest.CheckReadSurface(t, v4)
 	for i, q := range upgradeQueries {
 		got := runQuerySorted(t, v4, q)
 		if len(got) != len(wantRows[i]) {
@@ -385,7 +385,7 @@ func TestGoldenV3Store(t *testing.T) {
 	if got := storetest.Fingerprint(s); got != string(want) {
 		t.Error("golden v3 store no longer reproduces its recorded fingerprint")
 	}
-	storetest.CheckFastEquivalence(t, s, storage.Fast(s))
+	storetest.CheckReadSurface(t, s)
 	rows := runQuerySorted(t, s, upgradeQueries[0])
 	if len(rows) == 0 {
 		t.Error("golden store query returned no rows")
@@ -438,7 +438,7 @@ func TestGoldenV4Store(t *testing.T) {
 	if got := storetest.Fingerprint(s); got != string(want) {
 		t.Error("golden v4 store no longer reproduces its recorded fingerprint")
 	}
-	storetest.CheckFastEquivalence(t, s, storage.Fast(s))
+	storetest.CheckReadSurface(t, s)
 	var wantRows [][][]string
 	for _, q := range upgradeQueries {
 		wantRows = append(wantRows, runQuerySorted(t, s, q))
@@ -509,11 +509,11 @@ func TestBulkFlushAutoFinalizes(t *testing.T) {
 	if !re.SegmentedAdjacency() {
 		t.Error("auto-finalized store not segmented")
 	}
-	if got := re.Degree(first, "t", true); got != 1 {
+	if got := re.DegreeID(first, re.TypeID("t"), true); got != 1 {
 		t.Errorf("Degree = %d, want 1", got)
 	}
 	n := 0
-	re.ForEachOut(first, "t", func(_ storage.EID, dst storage.VID) bool {
+	re.ForEachOutID(first, re.TypeID("t"), func(_ storage.EID, dst storage.VID) bool {
 		if dst != first+1 {
 			t.Errorf("edge points at %d, want %d", dst, first+1)
 		}
@@ -581,7 +581,7 @@ func TestDirtyFlushInvalidatesIndexFirst(t *testing.T) {
 	if crashed.Format().IndexLoaded {
 		t.Error("crashed store loaded an index that predates its data")
 	}
-	if got := crashed.CountLabel("L"); got != 2 {
+	if got := crashed.CountLabelID(crashed.LabelID("L")); got != 2 {
 		t.Errorf("label scan after crash sees %d L-vertices, want 2 (stale index served?)", got)
 	}
 	// And the real Flush must behave identically up to its crash point:
@@ -624,7 +624,7 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re.CountLabel("A")
+	re.CountLabelID(re.LabelID("A"))
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +725,7 @@ func TestAddEdgeBatchPartialFailureStillFinalizes(t *testing.T) {
 		t.Fatalf("NumEdges = %d, want the 1 successfully appended edge", got)
 	}
 	n := 0
-	re.ForEachOut(first, "t", func(_ storage.EID, dst storage.VID) bool { n++; return true })
+	re.ForEachOutID(first, re.TypeID("t"), func(_ storage.EID, dst storage.VID) bool { n++; return true })
 	if n != 1 {
 		t.Errorf("appended edge unreachable after reopen: walk saw %d", n)
 	}

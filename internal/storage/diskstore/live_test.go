@@ -118,9 +118,9 @@ func TestLiveEquivalenceDifferential(t *testing.T) {
 	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
 		t.Errorf("live diskstore diverged from memstore reference\n got %s\nwant %s", got, want)
 	}
-	// The fast-path interface must agree with the generic one over the
-	// merged base+delta view.
-	storetest.CheckFastEquivalence(t, s, s)
+	// The read operations must agree with one another over the merged
+	// base+delta view.
+	storetest.CheckReadSurface(t, s)
 	ls := s.LiveStats()
 	if !ls.Live || ls.DeltaVertices == 0 || ls.DeltaEdges == 0 || ls.WALAppends == 0 || ls.WALSyncs == 0 || ls.WALBytes == 0 {
 		t.Errorf("live stats did not move: %+v", ls)
@@ -278,7 +278,7 @@ func TestWALReplaySelfReferencingBatch(t *testing.T) {
 		t.Fatalf("replayed store diverged from the acknowledged state")
 	}
 	v := res.Vertices[0]
-	if val, ok := re.Prop(v, "k"); !ok || val.Int() != 42 {
+	if val, ok := re.PropID(v, re.KeyID("k")); !ok || val.Int() != 42 {
 		t.Fatalf("replayed vertex %d lost its property: %v %v", v, val, ok)
 	}
 }
@@ -431,18 +431,18 @@ func TestApplyMutationsBatchSemantics(t *testing.T) {
 	if got := s.Labels(v2); fmt.Sprint(got) != "[X Z]" {
 		t.Errorf("Labels(%d) = %v", v2, got)
 	}
-	if val, ok := s.Prop(v1, "name"); !ok || val.Str() != "first" {
+	if val, ok := s.PropID(v1, s.KeyID("name")); !ok || val.Str() != "first" {
 		t.Errorf("Prop(%d, name) = %v %v", v1, val, ok)
 	}
 	var dsts []storage.VID
-	s.ForEachOut(v1, "knows", func(_ storage.EID, dst storage.VID) bool {
+	s.ForEachOutID(v1, s.TypeID("knows"), func(_ storage.EID, dst storage.VID) bool {
 		dsts = append(dsts, dst)
 		return true
 	})
 	if len(dsts) != 1 || dsts[0] != v2 {
 		t.Errorf("out(knows) of %d = %v, want [%d]", v1, dsts, v2)
 	}
-	if got := s.Degree(v2, "knows", true); got != 1 {
+	if got := s.DegreeID(v2, s.TypeID("knows"), true); got != 1 {
 		t.Errorf("Degree(%d, knows, out) = %d, want 1", v2, got)
 	}
 
@@ -674,12 +674,12 @@ func TestConcurrentMutateAndRead(t *testing.T) {
 					id := storage.VID(v)
 					s.Labels(id)
 					s.PropKeys(id)
-					s.Degree(id, "r1", true)
-					s.ForEachOut(id, "", func(storage.EID, storage.VID) bool { return true })
-					s.ForEachIn(id, "r2", func(storage.EID, storage.VID) bool { return true })
+					s.DegreeID(id, s.TypeID("r1"), true)
+					s.ForEachOutID(id, storage.AnySymbol, func(storage.EID, storage.VID) bool { return true })
+					s.ForEachInID(id, s.TypeID("r2"), func(storage.EID, storage.VID) bool { return true })
 				}
-				s.CountLabel("A")
-				s.ForEachVertex("Live", func(storage.VID) bool { return true })
+				s.CountLabelID(s.LabelID("A"))
+				s.ForEachVertexID(s.LabelID("Live"), func(storage.VID) bool { return true })
 			}
 		}()
 	}

@@ -16,8 +16,8 @@ func (s *Store) LabelCounts() map[string]int {
 	labels := append([]string(nil), s.labels...)
 	s.symRUnlock()
 	out := make(map[string]int, len(labels))
-	for _, l := range labels {
-		out[l] = s.CountLabel(l)
+	for id, l := range labels {
+		out[l] = s.CountLabelID(storage.SymbolID(id))
 	}
 	return out
 }

@@ -40,7 +40,7 @@ func TestStatisticsRoundTrip(t *testing.T) {
 	}
 	lc := st.LabelCounts()
 	for name, c := range lc {
-		if got := s.CountLabel(name); got != c {
+		if got := s.CountLabelID(s.LabelID(name)); got != c {
 			t.Fatalf("LabelCounts[%s] = %d, CountLabel = %d", name, c, got)
 		}
 	}
@@ -49,9 +49,9 @@ func TestStatisticsRoundTrip(t *testing.T) {
 	// find one through the public read surface.
 	var haveLabel, haveKey string
 	var haveVal graph.Value
-	s.ForEachVertex("A", func(v storage.VID) bool {
+	s.ForEachVertexID(s.LabelID("A"), func(v storage.VID) bool {
 		for _, k := range s.PropKeys(v) {
-			if val, ok := s.Prop(v, k); ok {
+			if val, ok := s.PropID(v, s.KeyID(k)); ok {
 				haveLabel, haveKey, haveVal = "A", k, val
 				return false
 			}

@@ -570,39 +570,12 @@ func (s *Store) NumEdges() int {
 	return int(vw.numEdges())
 }
 
-// CountLabel returns the number of vertices carrying the label.
-func (s *Store) CountLabel(label string) int {
-	if label == "" {
-		return 0
-	}
-	return s.CountLabelID(s.LabelID(label))
-}
-
-// ForEachVertex calls fn for every vertex carrying the label ("" = all).
-func (s *Store) ForEachVertex(label string, fn func(storage.VID) bool) {
-	s.ForEachVertexID(s.LabelID(label), fn)
-}
-
-// HasLabel reports whether the vertex carries the label.
-func (s *Store) HasLabel(v storage.VID, label string) bool {
-	return s.HasLabelID(v, s.LabelID(label))
-}
-
 // Labels returns the labels of the vertex, sorted. Delta vertices carry
 // their labels in memory; base vertices merge delta-side additions.
 func (s *Store) Labels(v storage.VID) []string {
 	vw := s.acquire()
 	defer s.release(vw)
 	return s.labelNames(vw.labelIDsOf(v))
-}
-
-// Prop returns the value of a vertex property.
-func (s *Store) Prop(v storage.VID, key string) (graph.Value, bool) {
-	keyID := s.KeyID(key)
-	if keyID < 0 { // unknown key, or "" (AnySymbol has no value meaning)
-		return graph.Null, false
-	}
-	return s.PropID(v, keyID)
 }
 
 // PropKeys returns the property keys present on the vertex, sorted,
@@ -613,31 +586,16 @@ func (s *Store) PropKeys(v storage.VID) []string {
 	return s.keyNames(vw.propKeyIDsOf(v))
 }
 
-// ForEachOut iterates out-edges of v with the given type ("" = any).
-func (s *Store) ForEachOut(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	s.ForEachOutID(v, s.TypeID(etype), fn)
-}
-
-// ForEachIn iterates in-edges of v with the given type ("" = any).
-func (s *Store) ForEachIn(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	s.ForEachInID(v, s.TypeID(etype), fn)
-}
-
-// Degree returns the number of out- or in-edges of the given type.
-func (s *Store) Degree(v storage.VID, etype string, out bool) int {
-	return s.DegreeID(v, s.TypeID(etype), out)
-}
-
-// CountLabelID is CountLabel with a resolved label: the base index size
-// plus the visible delta members.
+// CountLabelID returns the number of vertices carrying the label: the
+// base index size plus the visible delta members.
 func (s *Store) CountLabelID(label storage.SymbolID) int {
 	vw := s.acquire()
 	defer s.release(vw)
 	return vw.countLabelID(label)
 }
 
-// ForEachVertexID is ForEachVertex with a resolved label: the base index
-// first, then the visible delta members.
+// ForEachVertexID calls fn for every vertex carrying the label: the base
+// index first, then the visible delta members.
 func (s *Store) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
 	vw := s.acquire()
 	defer s.release(vw)
@@ -656,37 +614,37 @@ func (s *Store) PlanVertexScan(label storage.SymbolID, parts int) []storage.Vert
 	return vw.planVertexScan(label, parts)
 }
 
-// HasLabelID is HasLabel with a resolved label; base record bits are
-// merged with delta-side label additions.
+// HasLabelID reports whether the vertex carries the label; base record
+// bits are merged with delta-side label additions.
 func (s *Store) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	vw := s.acquire()
 	defer s.release(vw)
 	return vw.hasLabelID(v, label)
 }
 
-// PropID is Prop with a resolved key. Delta-side values win: a live
-// SetProp overrides the base chain without touching it.
+// PropID returns the value of a vertex property. Delta-side values win: a
+// live SetProp overrides the base chain without touching it.
 func (s *Store) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	vw := s.acquire()
 	defer s.release(vw)
 	return vw.propID(v, key)
 }
 
-// ForEachOutID is ForEachOut with a resolved edge type.
+// ForEachOutID iterates out-edges of v with the given type.
 func (s *Store) ForEachOutID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
 	vw := s.acquire()
 	defer s.release(vw)
 	vw.forEachID(v, etype, true, fn)
 }
 
-// ForEachInID is ForEachIn with a resolved edge type.
+// ForEachInID iterates in-edges of v with the given type.
 func (s *Store) ForEachInID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
 	vw := s.acquire()
 	defer s.release(vw)
 	vw.forEachID(v, etype, false, fn)
 }
 
-// DegreeID is Degree with a resolved edge type.
+// DegreeID returns the number of out- or in-edges of the given type.
 func (s *Store) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	vw := s.acquire()
 	defer s.release(vw)
@@ -766,47 +724,12 @@ func (sn *Snap) KeyID(key string) storage.SymbolID     { return sn.vw.s.KeyID(ke
 func (sn *Snap) NumVertices() int { return int(sn.vw.numVertices()) }
 func (sn *Snap) NumEdges() int    { return int(sn.vw.numEdges()) }
 
-func (sn *Snap) CountLabel(label string) int {
-	if label == "" {
-		return 0
-	}
-	return sn.vw.countLabelID(sn.vw.s.LabelID(label))
-}
-
-func (sn *Snap) ForEachVertex(label string, fn func(storage.VID) bool) {
-	sn.vw.forEachVertexID(sn.vw.s.LabelID(label), fn)
-}
-
-func (sn *Snap) HasLabel(v storage.VID, label string) bool {
-	return sn.vw.hasLabelID(v, sn.vw.s.LabelID(label))
-}
-
 func (sn *Snap) Labels(v storage.VID) []string {
 	return sn.vw.s.labelNames(sn.vw.labelIDsOf(v))
 }
 
-func (sn *Snap) Prop(v storage.VID, key string) (graph.Value, bool) {
-	keyID := sn.vw.s.KeyID(key)
-	if keyID < 0 {
-		return graph.Null, false
-	}
-	return sn.vw.propID(v, keyID)
-}
-
 func (sn *Snap) PropKeys(v storage.VID) []string {
 	return sn.vw.s.keyNames(sn.vw.propKeyIDsOf(v))
-}
-
-func (sn *Snap) ForEachOut(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	sn.vw.forEachID(v, sn.vw.s.TypeID(etype), true, fn)
-}
-
-func (sn *Snap) ForEachIn(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	sn.vw.forEachID(v, sn.vw.s.TypeID(etype), false, fn)
-}
-
-func (sn *Snap) Degree(v storage.VID, etype string, out bool) int {
-	return sn.vw.degreeID(v, sn.vw.s.TypeID(etype), out)
 }
 
 func (sn *Snap) CountLabelID(label storage.SymbolID) int { return sn.vw.countLabelID(label) }

@@ -31,13 +31,20 @@ const (
 	// HasLabelID and PropID report absence, CountLabelID returns 0, and
 	// the ForEach*ID iterators yield no elements.
 	NoSymbol SymbolID = -1
-	// AnySymbol is the ID-space analogue of the empty string in the
-	// string API: it matches every edge type in ForEachOutID/ForEachInID
-	// and every vertex in ForEachVertexID.
+	// AnySymbol is the wildcard the empty name resolves to: it matches
+	// every edge type in ForEachOutID/ForEachInID/DegreeID and every
+	// vertex in ForEachVertexID.
 	AnySymbol SymbolID = -2
 )
 
-// Graph is the read interface the query executor runs against.
+// Graph is the read interface the query executor runs against. Label,
+// edge-type and property-key names are resolved once to the store's
+// interned SymbolIDs (LabelID/TypeID/KeyID); every read then takes IDs,
+// so a compiled query plan does no string hashing per row.
+//
+// NoSymbol matches nothing and AnySymbol matches everything: every edge
+// type in ForEachOutID/ForEachInID/DegreeID and every vertex in
+// ForEachVertexID, where CountLabelID(AnySymbol) returns NumVertices().
 //
 // Implementations must be safe for concurrent readers once the store is
 // fully built (the Builder contract: build first, then query). Both
@@ -50,76 +57,37 @@ type Graph interface {
 	NumVertices() int
 	// NumEdges returns the number of edges.
 	NumEdges() int
-	// CountLabel returns the number of vertices carrying the label.
-	CountLabel(label string) int
-	// ForEachVertex calls fn for every vertex carrying the label, until fn
-	// returns false. An empty label iterates all vertices.
-	ForEachVertex(label string, fn func(VID) bool)
-	// HasLabel reports whether the vertex carries the label.
-	HasLabel(v VID, label string) bool
 	// Labels returns the labels of the vertex in lexicographic order.
 	Labels(v VID) []string
-	// Prop returns the value of the vertex property, if present.
-	Prop(v VID, key string) (graph.Value, bool)
 	// PropKeys returns the property keys present on the vertex in
 	// lexicographic order.
 	PropKeys(v VID) []string
-	// ForEachOut calls fn for every out-edge of v with the given edge type
-	// until fn returns false. An empty type matches any edge type.
-	ForEachOut(v VID, etype string, fn func(e EID, dst VID) bool)
-	// ForEachIn is ForEachOut for incoming edges; fn receives the source.
-	ForEachIn(v VID, etype string, fn func(e EID, src VID) bool)
-	// Degree returns the number of out- (or in-) edges of the given type.
-	Degree(v VID, etype string, out bool) int
-}
 
-// SymbolTable resolves label, edge-type, and property-key strings to the
-// store's interned IDs. Unknown strings resolve to NoSymbol; the empty
-// string resolves to AnySymbol, mirroring its wildcard meaning in the
-// string API.
-type SymbolTable interface {
-	// LabelID resolves a vertex label.
+	// LabelID resolves a vertex label. Unknown names resolve to
+	// NoSymbol; the empty string resolves to AnySymbol.
 	LabelID(label string) SymbolID
-	// TypeID resolves an edge type.
+	// TypeID resolves an edge type, like LabelID.
 	TypeID(etype string) SymbolID
-	// KeyID resolves a property key.
+	// KeyID resolves a property key, like LabelID.
 	KeyID(key string) SymbolID
-}
 
-// VertexScan iterates one partition of a label scan produced by
-// FastGraph.PlanVertexScan, calling fn for each vertex until fn returns
-// false. Each scan is independent of its siblings and may run on its own
-// goroutine; the partitions of one PlanVertexScan call are disjoint and
-// together visit exactly the vertices ForEachVertexID would.
-type VertexScan func(fn func(VID) bool)
-
-// FastGraph is the interned-symbol fast path of Graph: each method mirrors
-// a string-keyed Graph method but takes pre-resolved SymbolIDs, letting a
-// compiled query plan skip per-call string hashing entirely. Both built-in
-// backends implement it natively; Fast adapts any other Graph.
-//
-// Semantics match the string API exactly: for any label l,
-// HasLabelID(v, LabelID(l)) == HasLabel(v, l), and likewise for the other
-// pairs. NoSymbol matches nothing and AnySymbol matches everything, with
-// one deliberate extension over the string API: CountLabelID(AnySymbol)
-// returns NumVertices() — the size of the scan ForEachVertexID(AnySymbol)
-// performs — whereas CountLabel("") returns 0.
-type FastGraph interface {
-	Graph
-	SymbolTable
-	// CountLabelID is CountLabel with a resolved label.
+	// CountLabelID returns the number of vertices carrying the label.
 	CountLabelID(label SymbolID) int
-	// ForEachVertexID is ForEachVertex with a resolved label.
+	// ForEachVertexID calls fn for every vertex carrying the label, until
+	// fn returns false.
 	ForEachVertexID(label SymbolID, fn func(VID) bool)
-	// HasLabelID is HasLabel with a resolved label.
+	// HasLabelID reports whether the vertex carries the label.
 	HasLabelID(v VID, label SymbolID) bool
-	// PropID is Prop with a resolved key.
+	// PropID returns the value of the vertex property, if present.
 	PropID(v VID, key SymbolID) (graph.Value, bool)
-	// ForEachOutID is ForEachOut with a resolved edge type.
+	// ForEachOutID calls fn for every out-edge of v with the given edge
+	// type until fn returns false.
 	ForEachOutID(v VID, etype SymbolID, fn func(e EID, dst VID) bool)
-	// ForEachInID is ForEachIn with a resolved edge type.
+	// ForEachInID is ForEachOutID for incoming edges; fn receives the
+	// source.
 	ForEachInID(v VID, etype SymbolID, fn func(e EID, src VID) bool)
-	// DegreeID is Degree with a resolved edge type.
+	// DegreeID returns the number of out- (or in-) edges of the given
+	// type.
 	DegreeID(v VID, etype SymbolID, out bool) int
 	// PlanVertexScan is the morsel partition hook: it splits the label's
 	// vertex set into at most parts disjoint scans whose union visits
@@ -133,6 +101,13 @@ type FastGraph interface {
 	// may be returned when the label has few vertices.
 	PlanVertexScan(label SymbolID, parts int) []VertexScan
 }
+
+// VertexScan iterates one partition of a label scan produced by
+// Graph.PlanVertexScan, calling fn for each vertex until fn returns
+// false. Each scan is independent of its siblings and may run on its own
+// goroutine; the partitions of one PlanVertexScan call are disjoint and
+// together visit exactly the vertices ForEachVertexID would.
+type VertexScan func(fn func(VID) bool)
 
 // SplitRange cuts [0, n) into at most parts contiguous, non-empty,
 // near-even [lo, hi) half-open ranges covering it exactly. It returns nil
@@ -155,16 +130,10 @@ func SplitRange(n, parts int) [][2]int {
 	return out
 }
 
-// Fast returns g's native fast path when it has one, or wraps g in a
-// generic adapter that maintains its own symbol table and forwards to the
-// string API. The adapter preserves semantics but not the speed advantage;
-// stores should implement FastGraph natively to benefit.
-func Fast(g Graph) FastGraph {
-	if fg, ok := g.(FastGraph); ok {
-		return fg
-	}
-	return newFallback(g)
-}
+// Fast returns g unchanged. It exists only for perfbench/trace.go, which
+// calls ForEachVertexID, PropKeys, KeyID, ForEachOutID and PropID on the
+// result; new code uses the Graph directly.
+func Fast(g Graph) Graph { return g }
 
 // Builder is the write interface used by the graph loader. Stores must be
 // fully built before being queried.
@@ -259,7 +228,7 @@ type MutableGraph interface {
 // generations, delta memory); it is idempotent, and reads after Release
 // are a caller bug.
 type Snapshot interface {
-	FastGraph
+	Graph
 	Release()
 }
 
@@ -270,21 +239,6 @@ type Snapshot interface {
 type Snapshotter interface {
 	AcquireSnapshot() Snapshot
 }
-
-// SnapshotOf pins a point-in-time view of g when the backend supports it
-// and otherwise degrades to reading g live through Fast with a no-op
-// Release — exact for stores that are immutable once built, best-effort
-// for mutable backends without snapshot support.
-func SnapshotOf(g Graph) Snapshot {
-	if sn, ok := g.(Snapshotter); ok {
-		return sn.AcquireSnapshot()
-	}
-	return noopSnap{Fast(g)}
-}
-
-type noopSnap struct{ FastGraph }
-
-func (noopSnap) Release() {}
 
 // LiveStats reports live-write state: delta segment sizes and write-ahead
 // log activity. All counters are cumulative since open.

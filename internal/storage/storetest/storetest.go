@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -25,10 +26,10 @@ func Run(t *testing.T, newStore Factory) {
 		if s.NumVertices() != 0 || s.NumEdges() != 0 {
 			t.Errorf("empty store reports %d vertices, %d edges", s.NumVertices(), s.NumEdges())
 		}
-		if s.CountLabel("X") != 0 {
+		if s.CountLabelID(s.LabelID("X")) != 0 {
 			t.Error("CountLabel on empty store != 0")
 		}
-		s.ForEachVertex("", func(storage.VID) bool {
+		s.ForEachVertexID(storage.AnySymbol, func(storage.VID) bool {
 			t.Error("iteration over empty store yielded a vertex")
 			return false
 		})
@@ -42,23 +43,25 @@ func Run(t *testing.T, newStore Factory) {
 		if s.NumVertices() != 3 {
 			t.Fatalf("NumVertices = %d, want 3", s.NumVertices())
 		}
-		if got := s.CountLabel("Drug"); got != 2 {
+		drug := s.LabelID("Drug")
+		if got := s.CountLabelID(drug); got != 2 {
 			t.Errorf("CountLabel(Drug) = %d, want 2", got)
 		}
-		if !s.HasLabel(b, "Compound") || s.HasLabel(a, "Compound") || s.HasLabel(c, "Drug") {
+		compound := s.LabelID("Compound")
+		if !s.HasLabelID(b, compound) || s.HasLabelID(a, compound) || s.HasLabelID(c, drug) {
 			t.Error("HasLabel wrong")
 		}
 		if err := s.AddLabel(c, "Late"); err != nil {
 			t.Fatalf("AddLabel: %v", err)
 		}
-		if !s.HasLabel(c, "Late") {
+		if !s.HasLabelID(c, s.LabelID("Late")) {
 			t.Error("label added after creation not visible")
 		}
 		// Duplicate label must be idempotent.
 		if err := s.AddLabel(b, "Drug"); err != nil {
 			t.Fatalf("AddLabel dup: %v", err)
 		}
-		if got := s.CountLabel("Drug"); got != 2 {
+		if got := s.CountLabelID(s.LabelID("Drug")); got != 2 {
 			t.Errorf("CountLabel(Drug) after dup add = %d, want 2", got)
 		}
 		if got := s.Labels(b); !reflect.DeepEqual(got, []string{"Compound", "Drug"}) {
@@ -84,7 +87,7 @@ func Run(t *testing.T, newStore Factory) {
 			}
 		}
 		for k, want := range vals {
-			got, ok := s.Prop(v, k)
+			got, ok := s.PropID(v, s.KeyID(k))
 			if !ok {
 				t.Errorf("Prop(%s) missing", k)
 				continue
@@ -93,14 +96,14 @@ func Run(t *testing.T, newStore Factory) {
 				t.Errorf("Prop(%s) = %v, want %v", k, got, want)
 			}
 		}
-		if _, ok := s.Prop(v, "absent"); ok {
+		if _, ok := s.PropID(v, s.KeyID("absent")); ok {
 			t.Error("Prop(absent) reported present")
 		}
 		// Overwrite.
 		if err := s.SetProp(v, "s", graph.S("world")); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := s.Prop(v, "s"); got.Str() != "world" {
+		if got, _ := s.PropID(v, s.KeyID("s")); got.Str() != "world" {
 			t.Errorf("overwritten prop = %v", got)
 		}
 		keys := s.PropKeys(v)
@@ -130,20 +133,21 @@ func Run(t *testing.T, newStore Factory) {
 		if s.NumEdges() != 3 {
 			t.Fatalf("NumEdges = %d, want 3", s.NumEdges())
 		}
-		if got := s.Degree(drug, "treat", true); got != 2 {
+		treat := s.TypeID("treat")
+		if got := s.DegreeID(drug, treat, true); got != 2 {
 			t.Errorf("out-degree treat = %d, want 2", got)
 		}
-		if got := s.Degree(drug, "", true); got != 3 {
+		if got := s.DegreeID(drug, storage.AnySymbol, true); got != 3 {
 			t.Errorf("out-degree any = %d, want 3", got)
 		}
-		if got := s.Degree(i1, "treat", false); got != 1 {
+		if got := s.DegreeID(i1, treat, false); got != 1 {
 			t.Errorf("in-degree = %d, want 1", got)
 		}
-		if got := s.Degree(drug, "nosuch", true); got != 0 {
+		if got := s.DegreeID(drug, s.TypeID("nosuch"), true); got != 0 {
 			t.Errorf("degree of unknown type = %d, want 0", got)
 		}
 		var dsts []storage.VID
-		s.ForEachOut(drug, "treat", func(_ storage.EID, dst storage.VID) bool {
+		s.ForEachOutID(drug, treat, func(_ storage.EID, dst storage.VID) bool {
 			dsts = append(dsts, dst)
 			return true
 		})
@@ -152,7 +156,7 @@ func Run(t *testing.T, newStore Factory) {
 			t.Errorf("ForEachOut dsts = %v, want [%d %d]", dsts, i1, i2)
 		}
 		var srcs []storage.VID
-		s.ForEachIn(risk, "cause", func(_ storage.EID, src storage.VID) bool {
+		s.ForEachInID(risk, s.TypeID("cause"), func(_ storage.EID, src storage.VID) bool {
 			srcs = append(srcs, src)
 			return true
 		})
@@ -161,7 +165,7 @@ func Run(t *testing.T, newStore Factory) {
 		}
 		// Early termination.
 		n := 0
-		s.ForEachOut(drug, "", func(storage.EID, storage.VID) bool {
+		s.ForEachOutID(drug, storage.AnySymbol, func(storage.EID, storage.VID) bool {
 			n++
 			return false
 		})
@@ -184,7 +188,7 @@ func Run(t *testing.T, newStore Factory) {
 			}
 		}
 		var got []storage.VID
-		s.ForEachVertex("Even", func(v storage.VID) bool {
+		s.ForEachVertexID(s.LabelID("Even"), func(v storage.VID) bool {
 			got = append(got, v)
 			return true
 		})
@@ -193,7 +197,7 @@ func Run(t *testing.T, newStore Factory) {
 			t.Errorf("label scan = %v, want %v", got, want)
 		}
 		all := 0
-		s.ForEachVertex("", func(storage.VID) bool { all++; return true })
+		s.ForEachVertexID(storage.AnySymbol, func(storage.VID) bool { all++; return true })
 		if all != 10 {
 			t.Errorf("full scan visited %d, want 10", all)
 		}
@@ -202,40 +206,30 @@ func Run(t *testing.T, newStore Factory) {
 	t.Run("SymbolFastPath", func(t *testing.T) {
 		s := newStore(t)
 		buildFastPathGraph(t, s)
-		// The suite runs twice: once against the store's own fast path
-		// (or, for string-only stores, the adapter storage.Fast creates),
-		// and once forcing the generic fallback adapter by hiding any
-		// native FastGraph implementation. Both must agree with the
-		// string API on every operation.
 		t.Run("Native", func(t *testing.T) {
-			CheckFastEquivalence(t, s, storage.Fast(s))
+			CheckReadSurface(t, s)
 		})
-		t.Run("Fallback", func(t *testing.T) {
-			CheckFastEquivalence(t, s, storage.Fast(stringOnly{s}))
-		})
-		if fg, ok := storage.Builder(s).(storage.FastGraph); ok {
-			// Native stores resolve unknown symbols to NoSymbol and the
-			// empty string to AnySymbol.
-			if got := fg.LabelID("NoSuchLabel"); got != storage.NoSymbol {
-				t.Errorf("LabelID(unknown) = %d, want NoSymbol", got)
-			}
-			if got := fg.TypeID("noSuchType"); got != storage.NoSymbol {
-				t.Errorf("TypeID(unknown) = %d, want NoSymbol", got)
-			}
-			if got := fg.KeyID("noSuchKey"); got != storage.NoSymbol {
-				t.Errorf("KeyID(unknown) = %d, want NoSymbol", got)
-			}
-			for _, id := range []storage.SymbolID{fg.LabelID(""), fg.TypeID(""), fg.KeyID("")} {
-				if id != storage.AnySymbol {
-					t.Errorf("empty-string symbol = %d, want AnySymbol", id)
-				}
+		// Unknown symbols resolve to NoSymbol and the empty string to
+		// AnySymbol.
+		if got := s.LabelID("NoSuchLabel"); got != storage.NoSymbol {
+			t.Errorf("LabelID(unknown) = %d, want NoSymbol", got)
+		}
+		if got := s.TypeID("noSuchType"); got != storage.NoSymbol {
+			t.Errorf("TypeID(unknown) = %d, want NoSymbol", got)
+		}
+		if got := s.KeyID("noSuchKey"); got != storage.NoSymbol {
+			t.Errorf("KeyID(unknown) = %d, want NoSymbol", got)
+		}
+		for _, id := range []storage.SymbolID{s.LabelID(""), s.TypeID(""), s.KeyID("")} {
+			if id != storage.AnySymbol {
+				t.Errorf("empty-string symbol = %d, want AnySymbol", id)
 			}
 		}
 	})
 
 	t.Run("ParallelReaders", func(t *testing.T) {
 		// Built stores must serve concurrent readers: every goroutine
-		// sweeps the full read surface (string and fast-path APIs) and
+		// sweeps the full read surface and
 		// must observe exactly the state a serial sweep observed. Run
 		// under -race this also proves the read paths are data-race free.
 		s := newStore(t)
@@ -243,8 +237,7 @@ func Run(t *testing.T, newStore Factory) {
 			t.Fatal(err)
 		}
 		want := Fingerprint(s)
-		fg := storage.Fast(s)
-		wantDegrees := degreeSweep(fg)
+		wantDegrees := degreeSweep(s)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -255,7 +248,7 @@ func Run(t *testing.T, newStore Factory) {
 						t.Errorf("goroutine %d: concurrent fingerprint diverged", g)
 						return
 					}
-					if got := degreeSweep(fg); !reflect.DeepEqual(got, wantDegrees) {
+					if got := degreeSweep(s); !reflect.DeepEqual(got, wantDegrees) {
 						t.Errorf("goroutine %d: concurrent degree sweep diverged", g)
 						return
 					}
@@ -269,8 +262,8 @@ func Run(t *testing.T, newStore Factory) {
 		// The batched write path must produce a graph observably identical
 		// to the incremental one: same vertices, labels, properties, and
 		// (order-insensitively) the same adjacency. A small batch size
-		// forces multiple flush cycles, and the finalized store must also
-		// keep its fast path equivalent to its string API.
+		// forces multiple flush cycles, and the finalized store's read
+		// operations must still agree with one another.
 		inc := newStore(t)
 		if _, err := BuildRandom(inc, 77, 50, 130); err != nil {
 			t.Fatal(err)
@@ -282,7 +275,7 @@ func Run(t *testing.T, newStore Factory) {
 		if got, want := Fingerprint(bulk), Fingerprint(inc); got != want {
 			t.Errorf("bulk-built store diverges from incremental build:\n got: %.300s...\nwant: %.300s...", got, want)
 		}
-		CheckFastEquivalence(t, bulk, storage.Fast(bulk))
+		CheckReadSurface(t, bulk)
 	})
 
 	t.Run("SnapshotIsolation", func(t *testing.T) {
@@ -290,33 +283,25 @@ func Run(t *testing.T, newStore Factory) {
 		if _, err := BuildRandom(s, 4242, 25, 60); err != nil {
 			t.Fatal(err)
 		}
-		before := Fingerprint(s)
-
-		// Every Graph yields a usable view through SnapshotOf: native
-		// Snapshotters pin a real snapshot, everything else gets the
-		// no-op fallback over storage.Fast. Both must read the current
-		// state, and Release must always be safe — twice, even.
-		for name, g := range map[string]storage.Graph{"native": s, "fallback": stringOnly{s}} {
-			snap := storage.SnapshotOf(g)
-			if got := Fingerprint(snap); got != before {
-				t.Errorf("SnapshotOf(%s) does not read the store's state:\n got %.200s\nwant %.200s", name, got, before)
-			}
-			snap.Release()
-			snap.Release()
-		}
-
 		sn, ok := storage.Builder(s).(storage.Snapshotter)
 		if !ok {
-			t.Skip("store is not a Snapshotter; SnapshotOf fallback is the whole contract")
+			// Queries pin a snapshot only on stores that take live writes
+			// (query's pinView), so a store without snapshots must not
+			// take them.
+			if _, mutable := storage.Builder(s).(storage.MutableGraph); mutable {
+				t.Error("store accepts live writes (MutableGraph) but cannot pin snapshots")
+			}
+			return
 		}
+		before := Fingerprint(s)
 		snap1 := sn.AcquireSnapshot()
 		if got := Fingerprint(snap1); got != before {
 			t.Fatalf("freshly acquired snapshot diverges from the store:\n got %.200s\nwant %.200s", got, before)
 		}
-		CheckFastEquivalence(t, s, snap1)
+		CheckReadSurface(t, snap1)
 
-		// Isolation under mutation only applies when snapshots are real
-		// copies or pinned epochs. An exclusive-build store (a live-write
+		// Isolation under mutation only applies when snapshots are pinned
+		// epochs. An exclusive-build store (a live-write
 		// backend before its first finalize: LiveStatsReporter with
 		// Live=false) hands out the store itself — no concurrent
 		// mutation by contract, so there is nothing to isolate.
@@ -371,10 +356,6 @@ func Run(t *testing.T, newStore Factory) {
 	})
 }
 
-// stringOnly hides a store's native fast path behind the plain Graph
-// method set so storage.Fast is forced to use the generic adapter.
-type stringOnly struct{ storage.Graph }
-
 // buildFastPathGraph populates a small graph exercising every symbol kind:
 // multiple labels per vertex, typed and parallel edges, and properties.
 func buildFastPathGraph(t *testing.T, s storage.Builder) {
@@ -398,67 +379,87 @@ func buildFastPathGraph(t *testing.T, s storage.Builder) {
 	}
 }
 
-// CheckFastEquivalence verifies that every ID-based operation of fg
-// agrees with g's string API, for known and unknown symbols alike. It is
-// exported so backend-specific tests can re-run it after physical
-// reorganizations (diskstore Compact, bulk finalize) that the generic
-// suite's build-then-read flow cannot reach.
-func CheckFastEquivalence(t *testing.T, g storage.Graph, fg storage.FastGraph) {
+// CheckReadSurface verifies that g's read operations agree with one
+// another on every vertex, for every name of the buildFastPathGraph and
+// BuildRandom vocabularies (plus the "Live"/"follows" names diskstore's
+// live-write streams add) and for unknown names: typed adjacency
+// partitions the untyped one, degrees and counts match iteration
+// lengths, label and property lookups match the Labels/PropKeys
+// listings, and label scans partition correctly. g must use no edge type
+// outside those vocabularies. It is exported so backend-specific tests
+// can re-run it after physical reorganizations (diskstore Compact, bulk
+// finalize) that the generic suite's build-then-read flow cannot reach.
+func CheckReadSurface(t *testing.T, g storage.Graph) {
 	t.Helper()
-	labels := []string{"Drug", "Compound", "Indication", "Risk", "NoSuchLabel"}
-	etypes := []string{"treat", "cause", "implies", "noSuchType", ""}
-	keys := []string{"name", "doses", "desc", "noSuchKey"}
+	labels := []string{"Drug", "Compound", "Indication", "Risk", "A", "B", "C", "D", "Live", "NoSuchLabel"}
+	etypes := []string{"treat", "cause", "implies", "r1", "r2", "r3", "follows", "noSuchType"}
+	keys := []string{"name", "doses", "desc", "p0", "p1", "p2", "p3", "p4", "noSuchKey"}
 
-	for _, l := range labels {
-		id := fg.LabelID(l)
-		if got, want := fg.CountLabelID(id), g.CountLabel(l); got != want {
-			t.Errorf("CountLabelID(%q) = %d, want %d", l, got, want)
+	members := make([]map[storage.VID]bool, len(labels))
+	for i, l := range labels {
+		id := g.LabelID(l)
+		scan := collectScan(g, id)
+		if got := g.CountLabelID(id); got != len(scan) {
+			t.Errorf("CountLabelID(%q) = %d, scan visits %d", l, got, len(scan))
 		}
-		if got, want := collectScan(fg, id), collectScanStr(g, l); !reflect.DeepEqual(got, want) {
-			t.Errorf("ForEachVertexID(%q) = %v, want %v", l, got, want)
+		members[i] = map[storage.VID]bool{}
+		for _, v := range scan {
+			members[i][v] = true
 		}
 	}
-	if got, want := collectScan(fg, storage.AnySymbol), collectScanStr(g, ""); !reflect.DeepEqual(got, want) {
-		t.Errorf("ForEachVertexID(AnySymbol) = %v, want %v", got, want)
+	if got := len(collectScan(g, storage.AnySymbol)); got != g.CountLabelID(storage.AnySymbol) {
+		t.Errorf("ForEachVertexID(AnySymbol) visits %d, CountLabelID(AnySymbol) = %d", got, g.CountLabelID(storage.AnySymbol))
 	}
-	// CountLabelID(AnySymbol) is the documented extension: the size of
-	// the wildcard scan, not CountLabel("")'s 0.
-	if got := fg.CountLabelID(storage.AnySymbol); got != g.NumVertices() {
+	// CountLabelID(AnySymbol) is the size of the wildcard scan.
+	if got := g.CountLabelID(storage.AnySymbol); got != g.NumVertices() {
 		t.Errorf("CountLabelID(AnySymbol) = %d, want NumVertices = %d", got, g.NumVertices())
 	}
 	for v := 0; v < g.NumVertices(); v++ {
 		id := storage.VID(v)
-		for _, l := range labels {
-			if got, want := fg.HasLabelID(id, fg.LabelID(l)), g.HasLabel(id, l); got != want {
-				t.Errorf("HasLabelID(%d, %q) = %v, want %v", v, l, got, want)
+		vLabels := g.Labels(id)
+		for i, l := range labels {
+			got := g.HasLabelID(id, g.LabelID(l))
+			if got != members[i][id] || got != slices.Contains(vLabels, l) {
+				t.Errorf("HasLabelID(%d, %q) = %v, label scan has it: %v, Labels = %v", v, l, got, members[i][id], vLabels)
 			}
 		}
-		for _, k := range keys {
-			gotVal, gotOK := fg.PropID(id, fg.KeyID(k))
-			wantVal, wantOK := g.Prop(id, k)
-			if gotOK != wantOK || !gotVal.Equal(wantVal) {
-				t.Errorf("PropID(%d, %q) = (%v, %v), want (%v, %v)", v, k, gotVal, gotOK, wantVal, wantOK)
+		vKeys := g.PropKeys(id)
+		for _, k := range append(append([]string{}, keys...), vKeys...) {
+			if _, ok := g.PropID(id, g.KeyID(k)); ok != slices.Contains(vKeys, k) {
+				t.Errorf("PropID(%d, %q) present = %v, PropKeys = %v", v, k, ok, vKeys)
 			}
 		}
-		for _, et := range etypes {
-			tid := fg.TypeID(et)
-			for _, out := range []bool{true, false} {
-				if got, want := collectAdj(fg, id, tid, out), collectAdjStr(g, id, et, out); !reflect.DeepEqual(got, want) {
-					t.Errorf("ForEach(%d, %q, out=%v) = %v, want %v", v, et, out, got, want)
+		for _, out := range []bool{true, false} {
+			all := collectAdj(g, id, storage.AnySymbol, out)
+			if got := g.DegreeID(id, storage.AnySymbol, out); got != len(all) {
+				t.Errorf("DegreeID(%d, AnySymbol, out=%v) = %d, iteration visits %d", v, out, got, len(all))
+			}
+			typed := [][2]int64{}
+			for _, et := range etypes {
+				tid := g.TypeID(et)
+				adj := collectAdj(g, id, tid, out)
+				if got := g.DegreeID(id, tid, out); got != len(adj) {
+					t.Errorf("DegreeID(%d, %q, out=%v) = %d, iteration visits %d", v, et, out, got, len(adj))
 				}
-				if got, want := fg.DegreeID(id, tid, out), g.Degree(id, et, out); got != want {
-					t.Errorf("DegreeID(%d, %q, out=%v) = %d, want %d", v, et, out, got, want)
-				}
+				typed = append(typed, adj...)
+			}
+			// The typed iterations partition the untyped one: compared as
+			// multisets, so an edge reported under two types (or none)
+			// surfaces as a mismatch.
+			sortAdj(all)
+			sortAdj(typed)
+			if !reflect.DeepEqual(typed, all) {
+				t.Errorf("typed iterations of %d (out=%v) = %v, untyped = %v", v, out, typed, all)
 			}
 		}
 		// NoSymbol matches nothing, regardless of implementation.
-		if fg.HasLabelID(id, storage.NoSymbol) {
+		if g.HasLabelID(id, storage.NoSymbol) {
 			t.Errorf("HasLabelID(%d, NoSymbol) = true", v)
 		}
-		if _, ok := fg.PropID(id, storage.NoSymbol); ok {
+		if _, ok := g.PropID(id, storage.NoSymbol); ok {
 			t.Errorf("PropID(%d, NoSymbol) reported present", v)
 		}
-		if got := fg.DegreeID(id, storage.NoSymbol, true); got != 0 {
+		if got := g.DegreeID(id, storage.NoSymbol, true); got != 0 {
 			t.Errorf("DegreeID(%d, NoSymbol) = %d", v, got)
 		}
 	}
@@ -468,13 +469,13 @@ func CheckFastEquivalence(t *testing.T, g storage.Graph, fg storage.FastGraph) {
 	// partition must stop when fn returns false.
 	scanLabels := make([]storage.SymbolID, 0, len(labels)+1)
 	for _, l := range labels {
-		scanLabels = append(scanLabels, fg.LabelID(l))
+		scanLabels = append(scanLabels, g.LabelID(l))
 	}
 	scanLabels = append(scanLabels, storage.AnySymbol)
 	for _, id := range scanLabels {
-		want := collectScan(fg, id)
+		want := collectScan(g, id)
 		for _, parts := range []int{1, 3, 8, 64} {
-			scans := fg.PlanVertexScan(id, parts)
+			scans := g.PlanVertexScan(id, parts)
 			if len(scans) > parts {
 				t.Errorf("PlanVertexScan(%d, %d) returned %d partitions", id, parts, len(scans))
 			}
@@ -505,76 +506,62 @@ func CheckFastEquivalence(t *testing.T, g storage.Graph, fg storage.FastGraph) {
 			}
 		}
 	}
-	if got := fg.PlanVertexScan(storage.NoSymbol, 4); len(got) != 0 {
+	if got := g.PlanVertexScan(storage.NoSymbol, 4); len(got) != 0 {
 		t.Errorf("PlanVertexScan(NoSymbol) returned %d partitions", len(got))
 	}
-	if fg.CountLabelID(storage.NoSymbol) != 0 {
+	if g.CountLabelID(storage.NoSymbol) != 0 {
 		t.Error("CountLabelID(NoSymbol) != 0")
 	}
-	fg.ForEachVertexID(storage.NoSymbol, func(storage.VID) bool {
+	g.ForEachVertexID(storage.NoSymbol, func(storage.VID) bool {
 		t.Error("ForEachVertexID(NoSymbol) yielded a vertex")
 		return false
 	})
-	fg.ForEachOutID(0, storage.NoSymbol, func(storage.EID, storage.VID) bool {
+	g.ForEachOutID(0, storage.NoSymbol, func(storage.EID, storage.VID) bool {
 		t.Error("ForEachOutID(NoSymbol) yielded an edge")
 		return false
 	})
 }
 
-func collectScan(fg storage.FastGraph, label storage.SymbolID) []storage.VID {
+func collectScan(g storage.Graph, label storage.SymbolID) []storage.VID {
 	out := []storage.VID{}
-	fg.ForEachVertexID(label, func(v storage.VID) bool {
+	g.ForEachVertexID(label, func(v storage.VID) bool {
 		out = append(out, v)
 		return true
 	})
 	return out
 }
 
-func collectScanStr(g storage.Graph, label string) []storage.VID {
-	out := []storage.VID{}
-	g.ForEachVertex(label, func(v storage.VID) bool {
-		out = append(out, v)
+func collectAdj(g storage.Graph, v storage.VID, etype storage.SymbolID, out bool) [][2]int64 {
+	res := [][2]int64{}
+	fn := func(e storage.EID, other storage.VID) bool {
+		res = append(res, [2]int64{int64(e), int64(other)})
 		return true
+	}
+	if out {
+		g.ForEachOutID(v, etype, fn)
+	} else {
+		g.ForEachInID(v, etype, fn)
+	}
+	return res
+}
+
+func sortAdj(adj [][2]int64) {
+	sort.Slice(adj, func(i, j int) bool {
+		if adj[i][0] != adj[j][0] {
+			return adj[i][0] < adj[j][0]
+		}
+		return adj[i][1] < adj[j][1]
 	})
-	return out
 }
 
-func collectAdj(fg storage.FastGraph, v storage.VID, etype storage.SymbolID, out bool) [][2]int64 {
-	res := [][2]int64{}
-	fn := func(e storage.EID, other storage.VID) bool {
-		res = append(res, [2]int64{int64(e), int64(other)})
-		return true
-	}
-	if out {
-		fg.ForEachOutID(v, etype, fn)
-	} else {
-		fg.ForEachInID(v, etype, fn)
-	}
-	return res
-}
-
-func collectAdjStr(g storage.Graph, v storage.VID, etype string, out bool) [][2]int64 {
-	res := [][2]int64{}
-	fn := func(e storage.EID, other storage.VID) bool {
-		res = append(res, [2]int64{int64(e), int64(other)})
-		return true
-	}
-	if out {
-		g.ForEachOut(v, etype, fn)
-	} else {
-		g.ForEachIn(v, etype, fn)
-	}
-	return res
-}
-
-// degreeSweep collects typed and untyped degrees of every vertex through
-// the fast path, using the BuildRandom vocabulary.
-func degreeSweep(fg storage.FastGraph) []int {
+// degreeSweep collects typed and untyped degrees of every vertex, using
+// the BuildRandom vocabulary.
+func degreeSweep(g storage.Graph) []int {
 	var out []int
-	types := []storage.SymbolID{fg.TypeID("r1"), fg.TypeID("r2"), fg.TypeID("r3"), storage.AnySymbol}
-	for v := 0; v < fg.NumVertices(); v++ {
+	types := []storage.SymbolID{g.TypeID("r1"), g.TypeID("r2"), g.TypeID("r3"), storage.AnySymbol}
+	for v := 0; v < g.NumVertices(); v++ {
 		for _, tid := range types {
-			out = append(out, fg.DegreeID(storage.VID(v), tid, true), fg.DegreeID(storage.VID(v), tid, false))
+			out = append(out, g.DegreeID(storage.VID(v), tid, true), g.DegreeID(storage.VID(v), tid, false))
 		}
 	}
 	return out
@@ -691,15 +678,15 @@ func Fingerprint(g storage.Graph) string {
 		id := storage.VID(v)
 		line := fmt.Sprintf("v%d labels=%v", v, g.Labels(id))
 		for _, k := range g.PropKeys(id) {
-			val, _ := g.Prop(id, k)
+			val, _ := g.PropID(id, g.KeyID(k))
 			line += fmt.Sprintf(" %s=%s", k, val)
 		}
 		var outs, ins []string
-		g.ForEachOut(id, "", func(_ storage.EID, dst storage.VID) bool {
+		g.ForEachOutID(id, storage.AnySymbol, func(_ storage.EID, dst storage.VID) bool {
 			outs = append(outs, fmt.Sprintf("->%d", dst))
 			return true
 		})
-		g.ForEachIn(id, "", func(_ storage.EID, src storage.VID) bool {
+		g.ForEachInID(id, storage.AnySymbol, func(_ storage.EID, src storage.VID) bool {
 			ins = append(ins, fmt.Sprintf("<-%d", src))
 			return true
 		})
