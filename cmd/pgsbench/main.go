@@ -330,10 +330,10 @@ func main() {
 	}
 	if run("compress") {
 		ran = true
-		// The format-v5 story in one table: the same graph in the v4
-		// record-array layout and the v5 delta-varint layout, traversed
-		// under a tight page budget with the mmap read path off and on,
-		// plus the bloom-guard skip rate only v5 statistics can deliver.
+		// The format-v5 story in one table: adjacency bytes per edge and
+		// the ratio against the 64-byte edge record, traversal under a
+		// tight page budget with the mmap read path off and on, and the
+		// bloom-guard skip rate of the v5 statistics.
 		rows, err := bench.Compress(bench.CompressOptions{
 			Vertices: *compressVerts, Edges: *compressEdges,
 			Seed: *seed, TightPages: *tight,
@@ -341,7 +341,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		title := fmt.Sprintf("Adjacency compression — v4 vs v5, tight cache (%d pages), mmap off/on", *tight)
+		title := fmt.Sprintf("Adjacency compression — v5 vs 64-byte edge records, tight cache (%d pages), mmap off/on", *tight)
 		fmt.Println(bench.FormatCompressTable(title, rows))
 		report.Add("compress", title, rows)
 	}

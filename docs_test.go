@@ -66,6 +66,9 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// invariant, and the bulk-load finalize contract must stay
 			// documented alongside the code that implements them.
 			"v4", "index.db", "segmented", "Compact", "Finalize",
+			// Legacy layouts are read, never written: the golden
+			// fixtures and their upgrade round trip are the gate.
+			"golden-v2", "TestCompactUpgradeRoundTrip",
 			"BulkLoader", "BatchBuilder", "writeFileAtomic", "commit point",
 			// Format v5: the delta-varint adjacency layout, the mmap read
 			// contract, and the persisted-statistics block (with its two
@@ -95,7 +98,7 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// that enforce it must stay documented.
 			"Background compaction", "epoch", "AcquireSnapshot",
 			"ErrCompactInProgress", "/admin/compact", "auto-compact",
-			"fold.tmp", "OracleRun", "FuzzWALReplay", "PinnedSnapshots",
+			"fold.tmp", "OracleRun", "FuzzWALReplay", "FuzzDecodeList", "PinnedSnapshots",
 			// Observability: the metrics registry, the Prometheus
 			// exposition and its strict checker, request-ID propagation,
 			// PROFILE traces, the slow-query log, and pprof wiring must

@@ -1,12 +1,12 @@
 package bench
 
-// The format-v5 compression experiment: the same synthetic graph stored
-// in the v4 record-array layout and the v5 delta-varint layout, compared
-// on adjacency bytes per edge, total bytes on disk, and typed-traversal
-// throughput under a deliberately tight page budget — with the mmap read
-// path both off and on. It also reports the bloom-guard skip rate for
-// absent-value property probes, which only the v5 statistics block can
-// answer (v4 rows show 0 for contrast).
+// The format-v5 compression experiment: a synthetic graph stored in the
+// v5 delta-varint layout, measured on adjacency bytes per edge (and the
+// ratio against the fixed 64-byte edge record older layouts used), total
+// bytes on disk, and typed-traversal throughput under a deliberately
+// tight page budget — with the mmap read path both off and on. It also
+// reports the bloom-guard skip rate for absent-value property probes,
+// which the v5 statistics block answers without a scan.
 
 import (
 	"context"
@@ -30,8 +30,8 @@ type CompressOptions struct {
 	// Seed drives the deterministic graph generator.
 	Seed int64
 	// TightPages is the page-cache budget for every traversal
-	// measurement — far below the v4 working set, so the layouts'
-	// locality difference is what the numbers measure.
+	// measurement — far below the store's working set, so the numbers
+	// measure the layout's locality rather than a warm cache.
 	TightPages int
 	// PageSize is the cache page size (default 4096).
 	PageSize int
@@ -70,25 +70,28 @@ func (o CompressOptions) withDefaults() CompressOptions {
 	return o
 }
 
-// CompressRow is one (format, mmap) cell of the comparison.
+// edgeRecordBytes is the fixed edge-record size of the pre-v5 layouts:
+// the compression ratio is measured against it, so it needs no v4 store.
+const edgeRecordBytes = 64
+
+// CompressRow is one mmap setting of the experiment.
 type CompressRow struct {
-	Format          string // "v4" or "v5"
 	Mmap            bool
 	Vertices        int
 	Edges           int
 	EdgeBytes       int64   // logical adjacency bytes (FormatInfo.EdgeBytes)
 	BytesPerEdge    float64 // EdgeBytes / Edges
+	Ratio           float64 // edgeRecordBytes / BytesPerEdge
 	DiskBytes       int64   // every store file summed
 	SingleOpsPerSec float64 // edge visits/s, one goroutine
 	FourOpsPerSec   float64 // edge visits/s, four goroutines
 	BloomSkipRate   float64 // absent-value probes skipped / probes
 }
 
-// Compress builds the same random graph into a v4 and a v5 diskstore,
-// then measures each store reopened under the tight page budget with the
-// mmap read path off and on — four rows. Throughput is full-graph typed
-// out-adjacency sweeps, reported as edge visits per second so rows are
-// comparable across layouts.
+// Compress builds the random graph into a diskstore, then measures it
+// reopened under the tight page budget with the mmap read path off and
+// on — two rows. Throughput is full-graph typed out-adjacency sweeps,
+// reported as edge visits per second.
 func Compress(o CompressOptions) ([]CompressRow, error) {
 	o = o.withDefaults()
 	base := o.DataDir
@@ -101,44 +104,32 @@ func Compress(o CompressOptions) ([]CompressRow, error) {
 	}
 	defer os.RemoveAll(scratch)
 
-	dirs := map[string]string{}
-	for _, f := range []struct {
-		name   string
-		format int
-	}{{"v4", 4}, {"v5", 0}} {
-		dir := filepath.Join(scratch, f.name)
-		st, err := diskstore.Open(dir, diskstore.Options{
-			PageSize: o.PageSize, Format: f.format,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := storetest.BuildRandomBulk(st, o.Seed, o.Vertices, o.Edges, 1024); err != nil {
-			st.Close()
-			return nil, err
-		}
-		if err := st.Close(); err != nil {
-			return nil, err
-		}
-		dirs[f.name] = dir
+	st, err := diskstore.Open(scratch, diskstore.Options{PageSize: o.PageSize})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := storetest.BuildRandomBulk(st, o.Seed, o.Vertices, o.Edges, 1024); err != nil {
+		st.Close()
+		return nil, err
+	}
+	if err := st.Close(); err != nil {
+		return nil, err
 	}
 
 	var rows []CompressRow
-	for _, format := range []string{"v4", "v5"} {
-		for _, useMmap := range []bool{false, true} {
-			row, err := compressOne(dirs[format], format, useMmap, o)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+	for _, useMmap := range []bool{false, true} {
+		row, err := compressOne(scratch, useMmap, o)
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
 // compressOne reopens one prebuilt store under the tight budget and
 // takes every measurement for its row.
-func compressOne(dir, format string, useMmap bool, o CompressOptions) (CompressRow, error) {
+func compressOne(dir string, useMmap bool, o CompressOptions) (CompressRow, error) {
 	st, err := diskstore.Open(dir, diskstore.Options{
 		PageSize: o.PageSize, CachePages: o.TightPages, Mmap: useMmap,
 	})
@@ -154,12 +145,15 @@ func compressOne(dir, format string, useMmap bool, o CompressOptions) (CompressR
 	info := st.Format()
 	nV, nE := st.NumVertices(), st.NumEdges()
 	row := CompressRow{
-		Format: format, Mmap: useMmap,
+		Mmap:     useMmap,
 		Vertices: nV, Edges: nE,
 		EdgeBytes: info.EdgeBytes, DiskBytes: disk,
 	}
 	if nE > 0 {
 		row.BytesPerEdge = float64(info.EdgeBytes) / float64(nE)
+	}
+	if row.BytesPerEdge > 0 {
+		row.Ratio = edgeRecordBytes / row.BytesPerEdge
 	}
 
 	types := make([]storage.SymbolID, 0, 3)
@@ -223,8 +217,6 @@ func compressOne(dir, format string, useMmap bool, o CompressOptions) (CompressR
 
 // bloomSkipRate runs absent-value property probes against the store and
 // reports the fraction the statistics guard skipped without scanning.
-// Only a store with the v5 statistics block can prove absence, so v4
-// rows report 0.
 func bloomSkipRate(st *diskstore.Store, probes int) (float64, error) {
 	if probes <= 0 {
 		return 0, nil
@@ -263,13 +255,13 @@ func dirSize(dir string) (int64, error) {
 // FormatCompressTable renders the compression comparison.
 func FormatCompressTable(title string, rows []CompressRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%-6s %-5s %9s %9s %11s %8s %11s %13s %13s %11s\n",
-		title, "format", "mmap", "vertices", "edges", "edge-bytes",
-		"B/edge", "disk-bytes", "1-thr edge/s", "4-thr edge/s", "bloom-skip")
+	fmt.Fprintf(&b, "%s\n%-5s %9s %9s %11s %8s %8s %11s %13s %13s %11s\n",
+		title, "mmap", "vertices", "edges", "edge-bytes", "B/edge",
+		"vs-64B", "disk-bytes", "1-thr edge/s", "4-thr edge/s", "bloom-skip")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %-5v %9d %9d %11d %8.2f %11d %13.0f %13.0f %10.0f%%\n",
-			r.Format, r.Mmap, r.Vertices, r.Edges, r.EdgeBytes,
-			r.BytesPerEdge, r.DiskBytes, r.SingleOpsPerSec, r.FourOpsPerSec,
+		fmt.Fprintf(&b, "%-5v %9d %9d %11d %8.2f %7.1fx %11d %13.0f %13.0f %10.0f%%\n",
+			r.Mmap, r.Vertices, r.Edges, r.EdgeBytes, r.BytesPerEdge,
+			r.Ratio, r.DiskBytes, r.SingleOpsPerSec, r.FourOpsPerSec,
 			r.BloomSkipRate*100)
 	}
 	return b.String()

@@ -42,9 +42,9 @@ const foldBatch = 4096
 // reads and ApplyMutations proceed throughout, with only a bounded pause
 // at the commit point — and blocks until the fold commits (callers
 // wanting fire-and-forget run it from a goroutine). On a store still in
-// build mode it takes the exclusive Finalize+Flush path, under the usual
-// exclusive-access contract. Only one compaction may run at a time; a
-// concurrent call returns storage.ErrCompactInProgress.
+// build mode it runs Finalize's in-place rewrite and a Flush, under the
+// usual exclusive-access contract. Only one compaction may run at a
+// time; a concurrent call returns storage.ErrCompactInProgress.
 func (s *Store) Compact() error {
 	if !s.folding.CompareAndSwap(false, true) {
 		return storage.ErrCompactInProgress
@@ -382,7 +382,6 @@ func (s *Store) foldBackground() error {
 		w.rotate(walOff)
 	}
 	s.walFoldedSeq = fence
-	s.pendingCheckpoint = false
 	// Young label/prop writes that landed on now-folded delta vertices
 	// while the fold ran must move to the base-override maps before
 	// routing flips (see delta.rebase).

@@ -54,7 +54,7 @@ const (
 	edgeRecSize   = 64
 	propRecSize   = 32
 	// degRecSize is the legacy (v3) degree record size; v4 degree records
-	// grew to degRecSizeV4 to carry per-type adjacency segment heads.
+	// grew to degRecSizeV4 (v5 stores its segment descriptors there).
 	degRecSize   = 32
 	degRecSizeV4 = 64
 	maxLabels    = 128
@@ -68,13 +68,6 @@ type Options struct {
 	// CachePages is the page cache capacity (default 256 pages = 2 MiB
 	// with the default page size).
 	CachePages int
-
-	// Format forces the on-disk format of a newly created store (tests
-	// and benchmarks: it lets the current code synthesize legacy v2/v3/v4
-	// stores for compatibility and comparison runs). Zero means the
-	// current format. Finalize never downgrades below v4 — legacy v2/v3
-	// stores upgrade on Finalize exactly as before.
-	Format int
 
 	// Mmap maps the read-mostly record files (edges.db, vertices.db)
 	// read-only into memory and serves page loads from the mapping
@@ -95,41 +88,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// formatVersion is the on-disk record layout version. Version 2 added
-// untyped degree counters to vertex records (bytes 41-48). Version 3
-// added per-type degree records (degrees.db, chained off bytes 49-56 of
-// the vertex record) so typed Degree lookups no longer walk the adjacency
-// chain. Version 4 added:
-//
-//   - a persisted derived-structure file (index.db) holding the label-scan
-//     index and redundant symbol tables, so Open is O(index size) instead
-//     of a full vertex scan;
-//   - 64-byte degree records carrying per-type adjacency segment heads;
-//   - the type-segmented adjacency invariant ("segmented" manifest flag):
-//     after Finalize/Compact, each vertex's out/in chains are grouped by
-//     edge type (out-chains additionally physically clustered in
-//     edges.db), so typed traversals seek to their segment and never read
-//     other types' edge records.
-//
-// Version 5 — current — adds:
+// formatVersion is the on-disk layout version every new store and every
+// Finalize/Compact writes. Version 5 stores:
 //
 //   - delta-varint compressed adjacency ("compressed" manifest flag):
-//     after Finalize/Compact, edges.db holds gap-encoded (src, type)
-//     segments instead of 64-byte edge records, and the degree record
-//     doubles as the segment descriptor (byte offsets + lengths + the
-//     first out-EID); see segcodec.go for the exact encoding;
-//   - a persisted statistics block in index.db: per-edge-type counts and
-//     per-(label, property-key) bloom filters, surfaced through
-//     storage.Statistics (the label counts come from the label index
-//     itself).
+//     edges.db holds gap-encoded (src, type) segments, and each 64-byte
+//     per-type degree record (degrees.db, chained off bytes 49-56 of the
+//     vertex record) doubles as the segment descriptor (byte offsets +
+//     lengths + the first out-EID); see segcodec.go for the encoding.
+//     Segments are grouped by edge type ("segmented" manifest flag), so a
+//     typed traversal decodes only its own type's bytes;
+//   - a persisted derived-structure file (index.db) holding the
+//     label-scan index, redundant symbol tables and a statistics block
+//     (per-edge-type counts and per-(label, property-key) bloom filters,
+//     surfaced through storage.Statistics), so Open is O(index size)
+//     instead of a full vertex scan.
 //
-// Version 2-4 stores remain readable: they open in a legacy mode that
-// answers queries the old way and keeps writing a same-version manifest
-// on Flush (opening never silently upgrades a store; Compact upgrades
-// explicitly). Incremental AddEdge on a non-live v5 store falls back to
-// the uncompressed record layout until the next Finalize/Compact.
-// Version 1 and unknown versions are rejected — v1 vertex records would
-// silently read their degree counters as zero.
+// Earlier versions are still read. Version 2 added untyped degree
+// counters to vertex records (bytes 41-48), version 3 the per-type
+// degree records (32 bytes), version 4 index.db and type-grouped
+// 64-byte edge-record chains. A v2-v4 store opens in a legacy mode that
+// walks its edge-record chains (filtering by type) and keeps writing a
+// same-version manifest on Flush: opening never silently upgrades a
+// store, Compact upgrades it to v5 explicitly. The same record chains
+// serve a build-mode store between an incremental AddEdge and the next
+// Finalize. Version 1 and unknown versions are rejected: v1 vertex
+// records would silently read their degree counters as zero.
 const formatVersion = 5
 
 type manifest struct {
@@ -147,8 +131,8 @@ type manifest struct {
 	NumProps    int64    `json:"num_props"`
 	NumDegs     int64    `json:"num_degs,omitempty"`
 	BlobSize    int64    `json:"blob_size"`
-	// Segmented records the type-segmented adjacency invariant (v4; see
-	// formatVersion).
+	// Segmented records type-grouped adjacency (v4+; see formatVersion).
+	// It gates live mode at Open.
 	Segmented bool `json:"segmented,omitempty"`
 	// Compressed records that edges.db holds delta-varint segments rather
 	// than 64-byte edge records (v5; see formatVersion). EdgeBytes is the
@@ -313,8 +297,8 @@ type Store struct {
 
 	// liveMode gates the durable post-finalize write path: Builder calls
 	// reroute through ApplyMutations, reads merge the delta segment, and
-	// symbol-table access takes symMu. Flipped only at Open and around
-	// the exclusive Finalize path.
+	// symbol-table access takes symMu. Set at Open or by a build-mode
+	// Finalize; never cleared.
 	liveMode atomic.Bool
 	// liveMu serializes ApplyMutations batches (WAL append order = delta
 	// apply order = replay order) and the fold's freeze/swap steps.
@@ -331,10 +315,6 @@ type Store struct {
 	wal atomic.Pointer[wal]
 	// walFoldedSeq mirrors manifest.WalSeq; advanced by folds.
 	walFoldedSeq uint64
-	// pendingCheckpoint is set by the exclusive foldDelta: the next
-	// committed Flush truncates the WAL. (Background folds rotate the
-	// log themselves instead.)
-	pendingCheckpoint bool
 
 	// ---- background compaction state (see compact.go) ----
 
@@ -426,8 +406,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	if _, err := os.Stat(filepath.Join(dir, finalizeMarker)); err == nil {
-		// The exclusive Finalize path rewrites edges.db in place; the
-		// marker survives only when that rewrite never committed, so the
+		// A build-mode Finalize rewrites edges.db in place; the marker
+		// survives only when that rewrite never committed, so the
 		// edge file may hold a mix of old- and new-order records that the
 		// manifest cannot detect. Refusing is the only safe answer.
 		// (Background Compact never places this marker — it builds a new
@@ -459,13 +439,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.Mmap {
 		pg.enableMmap(fileVertices, fileEdges)
 	}
-	version := formatVersion
-	if opts.Format != 0 {
-		version = opts.Format
-	}
 	ep := &epoch{
 		gen:       gen,
-		version:   version,
+		version:   formatVersion,
 		segmented: true, // trivially: no edges yet (manifest overrides)
 		pager:     pg,
 		byLabel:   map[int][]storage.VID{},
@@ -482,8 +458,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.generation.Store(gen)
 	if haveManifest {
 		ep.version = m.Version
-		// Only v4 degree records carry the segment heads the seek path
-		// needs; never trust a segmented claim on a legacy manifest.
+		// Type grouping arrived with v4; never trust a segmented claim
+		// on an older manifest.
 		ep.segmented = m.Segmented && m.Version >= 4
 		ep.compressed = m.Compressed && m.Version >= 5
 		ep.edgeBytes = m.EdgeBytes
@@ -536,15 +512,15 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // ErrFinalizeInterrupted is returned (wrapped, with a recovery hint) by
-// Open when the finalize.inprogress marker is present: an exclusive
-// Finalize (or the exclusive Compact path a non-live store takes)
-// crashed after it may have started rewriting edge records in place and
-// before the rewrite was committed by a Flush, so edges.db may hold a
-// mix of old- and new-order records that the manifest cannot detect.
-// Background Compact on a live store never hits this: it builds the new
-// generation in a temp directory and commits it with one manifest
-// rename, so a crash at any instant leaves either the old or the new
-// generation fully intact. Test with errors.Is.
+// Open when the finalize.inprogress marker is present: a build-mode
+// Finalize (or the Compact of a build-mode store, which runs it) crashed
+// after it may have started rewriting edges.db in place and before the
+// rewrite was committed by a Flush, so the file may hold a mix of old
+// and new bytes that the manifest cannot detect. A live store never hits
+// this: its Finalize and Compact both run the background fold, which
+// builds the new generation in a temp directory and commits it with one
+// manifest rename, so a crash at any instant leaves either the old or
+// the new generation fully intact. Test with errors.Is.
 var ErrFinalizeInterrupted = errors.New("store was interrupted mid-finalize/compact and its edge records may be partially rewritten")
 
 // readManifest loads and validates manifest.json, reporting whether one
@@ -713,23 +689,11 @@ func (s *Store) Flush() error {
 	if err := os.Remove(filepath.Join(s.dir, finalizeMarker)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	// Checkpoint: the manifest just committed a wal_seq covering every
-	// folded record, so the WAL can be emptied. A crash before this
-	// truncation leaves a stale log that replay skips (and truncates) via
-	// the fence.
-	if s.pendingCheckpoint {
-		if w := s.wal.Load(); w != nil {
-			if err := w.reset(); err != nil {
-				return err
-			}
-		}
-		s.pendingCheckpoint = false
-	}
 	s.dirty = false
 	return nil
 }
 
-// finalizeMarker is the sentinel file present while an exclusive
+// finalizeMarker is the sentinel file present while a build-mode
 // Finalize edge rewrite is in flight but not yet committed by a Flush;
 // see Finalize and Open. Background folds never place it.
 const finalizeMarker = "finalize.inprogress"
@@ -843,26 +807,20 @@ type edgeRec struct {
 // distinct edge type the vertex touches — so walking them is cheap even
 // for hub vertices with huge adjacency chains.
 //
-// In format v4 the record doubles as the type's adjacency segment
-// descriptor: firstOut/firstIn point at the first edge of this type's
-// segment in the vertex's out/in chains, valid while the store's
-// segmented invariant holds. Legacy (v3) records are 32 bytes and have no
-// segment heads.
-//
-// On a compressed (v5) epoch the descriptor bytes are reinterpreted:
-// bytes 21-36 hold the byte offsets of the type's out/in varint segments
-// in edges.db (stored +1; 0 = empty), bytes 37-44 their encoded lengths,
-// and bytes 45-52 the EID of the segment's first out-edge (+1) — out-EIDs
-// are contiguous per segment, so one stored EID recovers all of them.
+// On a compressed (v5) epoch the record doubles as the type's segment
+// descriptor: bytes 21-36 hold the byte offsets of the type's out/in
+// varint segments in edges.db (stored +1; 0 = empty), bytes 37-44 their
+// encoded lengths, and bytes 45-52 the EID of the segment's first
+// out-edge (+1) — out-EIDs are contiguous per segment, so one stored EID
+// recovers all of them. Legacy v3 records are 32 bytes; v4 records are
+// 64 bytes whose tail (segment heads into the record chains) no reader
+// needs, since a v4 store is walked through its chains.
 type degRec struct {
 	inUse  bool
 	typeID uint32
 	outDeg uint32
 	inDeg  uint32
 	next   int64 // deg id + 1
-	// v4 uncompressed: heads of this type's adjacency segments (edge id + 1).
-	firstOut int64
-	firstIn  int64
 	// v5 compressed: varint segment descriptors (offsets stored +1).
 	outOff, inOff int64
 	outLen, inLen uint32
@@ -979,17 +937,12 @@ func (ep *epoch) readDeg(d int64) (degRec, error) {
 		inDeg:  binary.LittleEndian.Uint32(buf[9:]),
 		next:   int64(binary.LittleEndian.Uint64(buf[13:])),
 	}
-	if size == degRecSizeV4 {
-		if ep.compressed {
-			r.outOff = int64(binary.LittleEndian.Uint64(buf[21:]))
-			r.inOff = int64(binary.LittleEndian.Uint64(buf[29:]))
-			r.outLen = binary.LittleEndian.Uint32(buf[37:])
-			r.inLen = binary.LittleEndian.Uint32(buf[41:])
-			r.firstOutEID = int64(binary.LittleEndian.Uint64(buf[45:]))
-		} else {
-			r.firstOut = int64(binary.LittleEndian.Uint64(buf[21:]))
-			r.firstIn = int64(binary.LittleEndian.Uint64(buf[29:]))
-		}
+	if ep.compressed {
+		r.outOff = int64(binary.LittleEndian.Uint64(buf[21:]))
+		r.inOff = int64(binary.LittleEndian.Uint64(buf[29:]))
+		r.outLen = binary.LittleEndian.Uint32(buf[37:])
+		r.inLen = binary.LittleEndian.Uint32(buf[41:])
+		r.firstOutEID = int64(binary.LittleEndian.Uint64(buf[45:]))
 	}
 	return r, nil
 }
@@ -1004,17 +957,12 @@ func (ep *epoch) writeDeg(d int64, r degRec) error {
 	binary.LittleEndian.PutUint32(buf[5:], r.outDeg)
 	binary.LittleEndian.PutUint32(buf[9:], r.inDeg)
 	binary.LittleEndian.PutUint64(buf[13:], uint64(r.next))
-	if size == degRecSizeV4 {
-		if ep.compressed {
-			binary.LittleEndian.PutUint64(buf[21:], uint64(r.outOff))
-			binary.LittleEndian.PutUint64(buf[29:], uint64(r.inOff))
-			binary.LittleEndian.PutUint32(buf[37:], r.outLen)
-			binary.LittleEndian.PutUint32(buf[41:], r.inLen)
-			binary.LittleEndian.PutUint64(buf[45:], uint64(r.firstOutEID))
-		} else {
-			binary.LittleEndian.PutUint64(buf[21:], uint64(r.firstOut))
-			binary.LittleEndian.PutUint64(buf[29:], uint64(r.firstIn))
-		}
+	if ep.compressed {
+		binary.LittleEndian.PutUint64(buf[21:], uint64(r.outOff))
+		binary.LittleEndian.PutUint64(buf[29:], uint64(r.inOff))
+		binary.LittleEndian.PutUint32(buf[37:], r.outLen)
+		binary.LittleEndian.PutUint32(buf[41:], r.inLen)
+		binary.LittleEndian.PutUint64(buf[45:], uint64(r.firstOutEID))
 	}
 	return ep.pager.write(fileDegrees, d*size, buf[:size])
 }
@@ -1184,34 +1132,58 @@ func encodeList(vs []graph.Value) ([]byte, error) {
 	return out, nil
 }
 
+// errTruncatedList reports a list blob whose elements run past its end.
+var errTruncatedList = errors.New("diskstore: truncated list blob")
+
+// decodeList is encodeList's inverse. The blob bytes come from disk, so
+// every length is checked before use: a count larger than the bytes left
+// (each element takes at least its kind byte) or an element cut short is
+// a corrupt blob, never a panic or an outsized allocation.
 func decodeList(data []byte) (graph.Value, error) {
 	if len(data) < 4 {
 		return graph.Null, fmt.Errorf("diskstore: corrupt list blob")
 	}
 	count := binary.LittleEndian.Uint32(data)
 	data = data[4:]
+	if uint64(count) > uint64(len(data)) {
+		return graph.Null, fmt.Errorf("diskstore: corrupt list blob: %d elements in %d bytes", count, len(data))
+	}
 	vs := make([]graph.Value, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(data) < 1 {
-			return graph.Null, fmt.Errorf("diskstore: truncated list blob")
+			return graph.Null, errTruncatedList
 		}
 		kind := graph.Kind(data[0])
 		data = data[1:]
 		switch kind {
 		case graph.KindNull:
 			vs = append(vs, graph.Null)
-		case graph.KindInt:
-			vs = append(vs, graph.I(int64(binary.LittleEndian.Uint64(data))))
+		case graph.KindInt, graph.KindFloat:
+			if len(data) < 8 {
+				return graph.Null, errTruncatedList
+			}
+			bits := binary.LittleEndian.Uint64(data)
 			data = data[8:]
-		case graph.KindFloat:
-			vs = append(vs, graph.FBits(binary.LittleEndian.Uint64(data)))
-			data = data[8:]
+			if kind == graph.KindInt {
+				vs = append(vs, graph.I(int64(bits)))
+			} else {
+				vs = append(vs, graph.FBits(bits))
+			}
 		case graph.KindBool:
+			if len(data) < 1 {
+				return graph.Null, errTruncatedList
+			}
 			vs = append(vs, graph.B(data[0] == 1))
 			data = data[1:]
 		case graph.KindString:
+			if len(data) < 4 {
+				return graph.Null, errTruncatedList
+			}
 			n := binary.LittleEndian.Uint32(data)
 			data = data[4:]
+			if uint64(n) > uint64(len(data)) {
+				return graph.Null, errTruncatedList
+			}
 			vs = append(vs, graph.S(string(data[:n])))
 			data = data[n:]
 		default:

@@ -1,15 +1,18 @@
 package diskstore
 
-// The bulk-build write path (storage.BatchBuilder) and the finalize /
-// compact step that establishes format v4's type-segmented adjacency.
+// The bulk-build write path (storage.BatchBuilder) and Finalize, the one
+// writer of the v5 delta-varint base layout.
 //
 // Bulk ingestion defers all adjacency work: AddVertexBatch writes bare
 // vertex records, AddEdgeBatch appends bare edge records with no chain
-// links, and Finalize builds everything derived — chain links, degree
-// records with segment heads, untyped degree counters — in one sorted
-// pass. The same pass doubles as the upgrade step for legacy stores
-// (Compact), because it never trusts any derived structure: only the
-// src/dst/type triples in edges.db.
+// links, and Finalize builds everything derived — the (src, type)
+// segments, degree records doubling as segment descriptors, untyped
+// degree counters, the statistics block — in one sorted pass. The same
+// pass doubles as the upgrade step for legacy stores (Compact), because
+// it never trusts any derived structure: only the src/dst/type triples
+// in edges.db. A live store's base is never rewritten in place: its
+// Finalize runs the background fold (compact.go), and every fold builds
+// its new generation through this pass on a private build-mode store.
 
 import (
 	"fmt"
@@ -119,72 +122,50 @@ type edgeLite struct {
 }
 
 // Finalize completes deferred bulk construction and (re)establishes the
-// v4 physical layout. It rewrites edges.db clustered by (source vertex,
-// edge type) — so a vertex's out adjacency is one contiguous, type-grouped
-// run of records and a typed out-traversal touches the minimum number of
-// pages — threads type-grouped in-chains through the new records, and
-// rebuilds every vertex's degree counters and per-type degree records
-// (now doubling as segment descriptors). Afterwards the store satisfies
-// the segmented-adjacency invariant: typed ForEach seeks straight to its
-// type's segment.
+// v5 layout. On a build-mode store it rewrites edges.db in place as
+// delta-varint segments clustered by (source vertex, edge type), dst
+// sorted within each, plus the matching in-segments, and rebuilds every
+// vertex's degree counters and per-type degree records (the segment
+// descriptors) and the statistics block. A typed traversal then decodes
+// only its own type's segment.
 //
 // Because Finalize rebuilds all derived structures from the base
-// src/dst/type records, it also serves as the format upgrade for legacy
-// v2/v3 stores (see Compact) and as the repair step after incremental
-// AddEdge calls broke segmentation. Edge IDs are renumbered by the
-// clustering; EIDs observed before Finalize are invalid after it (the
-// storage.BatchBuilder contract).
+// src/dst/type triples, it also serves as the format upgrade for legacy
+// v2-v4 stores (see Compact) and as the repair step after incremental
+// AddEdge calls appended uncompressed records. Edge IDs are renumbered
+// by the clustering; EIDs observed before Finalize are invalid after it
+// (the storage.BatchBuilder contract).
+//
+// On a live store Finalize is Compact: the background fold writes a new
+// generation and commits it by manifest rename, leaving no marker.
 func (s *Store) Finalize() error {
-	// Live state is folded into the base below; base writers are used for
-	// the fold, so live routing is switched off for the duration.
-	// Finalize requires exclusive access (no concurrent readers or
-	// writers) — it rewrites edges.db in place.
-	wasLive := s.liveMode.Load()
-	s.liveMode.Store(false)
+	if s.liveMode.Load() {
+		return s.Compact()
+	}
+	// Build mode: exclusive access (no concurrent readers or writers), and
+	// edges.db is rewritten in place.
 	ep := s.cur
 	if err := s.markDirty(); err != nil {
 		return err
 	}
-	// The rebuild writes target-format degree records and flushes a
-	// matching manifest + index; this is the explicit upgrade path, never
-	// taken by plain Open/Flush. Stores pinned to a legacy format via
-	// Options.Format still upgrade to at least v4 (the segmented layout
-	// the rebuild produces), but stay below v5 so tests and benchmarks
-	// can synthesize uncompressed stores.
-	target := formatVersion
-	if s.opts.Format != 0 {
-		target = s.opts.Format
-		if target < 4 {
-			target = 4
-		}
-	}
-	if ep.version < target {
-		ep.version = target
-	}
-	compress := ep.version >= 5
-	// The fold and the rewrite below mutate base records in place, and
-	// cache eviction may push any subset of the new pages to disk at any
-	// moment — a crash leaves files in a mixed old/new state that the
-	// (unchanged) manifest still validates. The marker file turns that
-	// silent corruption into a detected one: it is created before the
-	// first mutated page can reach disk and removed only by the next
-	// successful Flush, so Open refuses a store whose finalize never
-	// committed (see ErrFinalizeInterrupted).
+	// The rebuild writes current-format degree records and the next Flush
+	// a matching manifest + index; this is the explicit upgrade path,
+	// never taken by plain Open/Flush.
+	ep.version = formatVersion
+	// The rewrite below mutates base records in place, and cache eviction
+	// may push any subset of the new pages to disk at any moment — a
+	// crash leaves files in a mixed old/new state that the (unchanged)
+	// manifest still validates. The marker file turns that silent
+	// corruption into a detected one: it is created before the first
+	// mutated page can reach disk and removed only by the next successful
+	// Flush, so Open refuses a store whose finalize never committed (see
+	// ErrFinalizeInterrupted).
 	if err := s.placeFinalizeMarker(); err != nil {
 		return err
 	}
-	var extra []edgeLite
-	if wasLive {
-		var err error
-		if extra, err = s.foldDelta(); err != nil {
-			return err
-		}
-	}
-	// Gather base edges through the layout-aware enumerator: a legacy or
-	// v4 base is read as 64-byte records, an already-compressed v5 base is
-	// decoded from its segments. Delta edges ride along after the base so
-	// the stable sort preserves ingest order.
-	recs := make([]edgeLite, 0, int(ep.numEdges)+len(extra))
+	// Gather base edges through the layout-aware enumerator (records, or
+	// segments on an already-compressed base).
+	recs := make([]edgeLite, 0, int(ep.numEdges))
 	if err := ep.forEachEdgeLite(func(el edgeLite) error {
 		recs = append(recs, el)
 		return nil
@@ -194,16 +175,14 @@ func (s *Store) Finalize() error {
 	if int64(len(recs)) != ep.numEdges {
 		return fmt.Errorf("diskstore: finalize: gathered %d base edges, expected %d", len(recs), ep.numEdges)
 	}
-	recs = append(recs, extra...)
 	nE := len(recs)
-	ep.numEdges = int64(nE)
-	// Everything below writes the target layout; the old bytes in
-	// edges.db are dead once the gather above is done.
-	ep.compressed = compress
+	// Everything below writes segments; the old bytes in edges.db are
+	// dead once the gather above is done.
+	ep.compressed = true
 
-	// New edge order, clustered by (src, type): the new ID of edge
-	// perm[k] is k, so a vertex's out-chain is the contiguous run of its
-	// records and nextOut links are simply "the next record".
+	// New edge order, clustered by (src, type) and dst-sorted within a
+	// segment (each segment gap-encodes its dst list): the new ID of edge
+	// perm[k] is k, so a segment's out-EIDs are contiguous.
 	perm := make([]int, nE)
 	for i := range perm {
 		perm[i] = i
@@ -216,22 +195,18 @@ func (s *Store) Finalize() error {
 		if a.typeID != b.typeID {
 			return a.typeID < b.typeID
 		}
-		if compress && a.dst != b.dst {
-			// v5 gap-encodes each segment's dst list, which requires it
-			// sorted; v4 keeps plain ingest order so its layout is
-			// byte-identical to what earlier releases wrote.
+		if a.dst != b.dst {
 			return a.dst < b.dst
 		}
-		return perm[i] < perm[j] // stable: keep ingest order within a segment
+		return perm[i] < perm[j] // stable: keep ingest order for parallel edges
 	})
 	newID := make([]int, nE)
 	for k, old := range perm {
 		newID[old] = k
 	}
 
-	// In-chains cannot also be physically contiguous, but they are
-	// threaded type-grouped (and in ascending new ID within a segment,
-	// for what locality remains).
+	// In-segments group each vertex's in-edges by type, in ascending new
+	// ID within a segment.
 	inOrder := make([]int, nE)
 	for i := range inOrder {
 		inOrder[i] = i
@@ -246,52 +221,22 @@ func (s *Store) Finalize() error {
 		}
 		return newID[inOrder[i]] < newID[inOrder[j]]
 	})
-	// Edge records (and their chain links) exist only in the uncompressed
-	// layout; a compressed epoch's edges.db holds nothing but segments.
-	if !compress {
-		nextIn := make([]int64, nE) // indexed by new ID; new EID+1 or 0
-		for i := 0; i+1 < nE; i++ {
-			a, b := inOrder[i], inOrder[i+1]
-			if recs[a].dst == recs[b].dst {
-				nextIn[newID[a]] = int64(newID[b]) + 1
-			}
-		}
-		// Rewrite edges.db in the new order — one sequential pass.
-		for k, old := range perm {
-			r := recs[old]
-			var nextOut int64
-			if k+1 < nE && recs[perm[k+1]].src == r.src {
-				nextOut = int64(k) + 2
-			}
-			if err := ep.writeEdge(storage.EID(k), edgeRec{
-				inUse: true, typeID: r.typeID, src: r.src, dst: r.dst,
-				nextOut: nextOut, nextIn: nextIn[k],
-			}); err != nil {
-				return err
-			}
-		}
-	}
 
-	// Per-vertex: adjacency heads, untyped degree counters, and the
-	// ascending-type degree chain with segment heads (v4) or segment
-	// descriptors (v5). degrees.db is rewritten from scratch. In
-	// compressed mode the same pass emits the delta-varint segments at a
-	// running cursor and accumulates the statistics block: per-edge-type
-	// counts and per-(label, key) bloom hashes over every property value.
+	// Per-vertex: untyped degree counters and the ascending-type degree
+	// chain of segment descriptors. degrees.db is rewritten from scratch.
+	// The same pass emits the delta-varint segments at a running cursor
+	// and accumulates the statistics block: per-edge-type counts and
+	// per-(label, key) bloom hashes over every property value.
 	ep.numDegs = 0
 	oi, ii := 0, 0
 	var degs []degRec
 	var cursor int64
 	var segBuf []byte
-	var hashAcc map[uint64][]uint64
-	var typeCounts []int64
 	var labelIDs []int
-	if compress {
-		hashAcc = make(map[uint64][]uint64)
-		typeCounts = make([]int64, len(s.types))
-		for i := range recs {
-			typeCounts[recs[i].typeID]++
-		}
+	hashAcc := make(map[uint64][]uint64)
+	typeCounts := make([]int64, len(s.types))
+	for i := range recs {
+		typeCounts[recs[i].typeID]++
 	}
 	for v := int64(0); v < ep.numVertices; v++ {
 		rec, err := ep.readVertex(storage.VID(v))
@@ -308,18 +253,9 @@ func (s *Store) Finalize() error {
 		}
 		rec.outDeg = uint32(oi - outStart)
 		rec.inDeg = uint32(ii - inStart)
+		// A compressed vertex reaches its edges only through the degree
+		// chain's segment descriptors; it has no record-chain heads.
 		rec.firstOut, rec.firstIn, rec.firstDeg = 0, 0, 0
-		if !compress {
-			// Adjacency heads point at edge records; a compressed vertex
-			// reaches its edges only through the degree chain's segment
-			// descriptors.
-			if oi > outStart {
-				rec.firstOut = int64(outStart) + 1
-			}
-			if ii > inStart {
-				rec.firstIn = int64(newID[inOrder[inStart]]) + 1
-			}
-		}
 		// Merge the two type-grouped runs into one ascending-type chain.
 		degs = degs[:0]
 		o, i := outStart, inStart
@@ -335,58 +271,42 @@ func (s *Store) Finalize() error {
 			}
 			dr := degRec{inUse: true, typeID: t}
 			if o < oi && recs[perm[o]].typeID == t {
-				if compress {
-					dr.firstOutEID = int64(o) + 1
-					segBuf = segBuf[:0]
-					first := o
-					var prev int64
-					for o < oi && recs[perm[o]].typeID == t {
-						d := recs[perm[o]].dst
-						segBuf = appendOutSeg(segBuf, d, prev, o == first)
-						prev = d
-						o++
-						dr.outDeg++
-					}
-					dr.outOff = cursor + 1
-					dr.outLen = uint32(len(segBuf))
-					if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
-						return err
-					}
-					cursor += int64(len(segBuf))
-				} else {
-					dr.firstOut = int64(o) + 1
-					for o < oi && recs[perm[o]].typeID == t {
-						o++
-						dr.outDeg++
-					}
+				dr.firstOutEID = int64(o) + 1
+				segBuf = segBuf[:0]
+				first := o
+				var prev int64
+				for o < oi && recs[perm[o]].typeID == t {
+					d := recs[perm[o]].dst
+					segBuf = appendOutSeg(segBuf, d, prev, o == first)
+					prev = d
+					o++
+					dr.outDeg++
 				}
+				dr.outOff = cursor + 1
+				dr.outLen = uint32(len(segBuf))
+				if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
+					return err
+				}
+				cursor += int64(len(segBuf))
 			}
 			if i < ii && recs[inOrder[i]].typeID == t {
-				if compress {
-					segBuf = segBuf[:0]
-					first := i
-					var prevSrc, prevEid int64
-					for i < ii && recs[inOrder[i]].typeID == t {
-						src := recs[inOrder[i]].src
-						eid := int64(newID[inOrder[i]])
-						segBuf = appendInSeg(segBuf, src, prevSrc, eid, prevEid, i == first)
-						prevSrc, prevEid = src, eid
-						i++
-						dr.inDeg++
-					}
-					dr.inOff = cursor + 1
-					dr.inLen = uint32(len(segBuf))
-					if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
-						return err
-					}
-					cursor += int64(len(segBuf))
-				} else {
-					dr.firstIn = int64(newID[inOrder[i]]) + 1
-					for i < ii && recs[inOrder[i]].typeID == t {
-						i++
-						dr.inDeg++
-					}
+				segBuf = segBuf[:0]
+				first := i
+				var prevSrc, prevEid int64
+				for i < ii && recs[inOrder[i]].typeID == t {
+					src := recs[inOrder[i]].src
+					eid := int64(newID[inOrder[i]])
+					segBuf = appendInSeg(segBuf, src, prevSrc, eid, prevEid, i == first)
+					prevSrc, prevEid = src, eid
+					i++
+					dr.inDeg++
 				}
+				dr.inOff = cursor + 1
+				dr.inLen = uint32(len(segBuf))
+				if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
+					return err
+				}
+				cursor += int64(len(segBuf))
 			}
 			degs = append(degs, dr)
 		}
@@ -403,34 +323,32 @@ func (s *Store) Finalize() error {
 			}
 			ep.numDegs += int64(len(degs))
 		}
-		if compress {
-			// Statistics: hash every property value once, bucketed by each
-			// label the vertex carries. Filters are sized after the pass,
-			// when per-bucket cardinalities are known.
-			labelIDs = labelIDs[:0]
-			for w, word := range rec.labels {
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << b
-					labelIDs = append(labelIDs, w*64+b)
-				}
+		// Statistics: hash every property value once, bucketed by each
+		// label the vertex carries. Filters are sized after the pass,
+		// when per-bucket cardinalities are known.
+		labelIDs = labelIDs[:0]
+		for w, word := range rec.labels {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << b
+				labelIDs = append(labelIDs, w*64+b)
 			}
-			if len(labelIDs) > 0 {
-				for p := rec.firstProp; p != 0; {
-					pr, err := ep.readProp(p - 1)
-					if err != nil {
-						return err
-					}
-					p = pr.next
-					val, err := ep.decodeValue(pr)
-					if err != nil {
-						return err
-					}
-					h := hashValue(val)
-					for _, lid := range labelIDs {
-						k := bloomKey(lid, int(pr.keyID))
-						hashAcc[k] = append(hashAcc[k], h)
-					}
+		}
+		if len(labelIDs) > 0 {
+			for p := rec.firstProp; p != 0; {
+				pr, err := ep.readProp(p - 1)
+				if err != nil {
+					return err
+				}
+				p = pr.next
+				val, err := ep.decodeValue(pr)
+				if err != nil {
+					return err
+				}
+				h := hashValue(val)
+				for _, lid := range labelIDs {
+					k := bloomKey(lid, int(pr.keyID))
+					hashAcc[k] = append(hashAcc[k], h)
 				}
 			}
 		}
@@ -438,133 +356,34 @@ func (s *Store) Finalize() error {
 			return err
 		}
 	}
-	if compress {
-		// Segments are strictly smaller than the records they replace
-		// (<= 27 bytes/edge worst case vs 64), so the rewrite never caught
-		// up with itself and the tail past the cursor is dead — reclaim it.
-		ep.edgeBytes = cursor
-		if err := ep.pager.truncate(fileEdges, cursor); err != nil {
-			return err
-		}
-		blooms := make(map[uint64]*bloom, len(hashAcc))
-		for k, hs := range hashAcc {
-			b := newBloom(len(hs))
-			for _, h := range hs {
-				b.add(h)
-			}
-			blooms[k] = b
-		}
-		ep.typeCounts = typeCounts
-		ep.blooms = blooms
-		ep.statsValid = true
-	} else {
-		ep.edgeBytes = 0
+	// Segments are strictly smaller than the records they replace (<= 27
+	// bytes/edge worst case vs 64), so the rewrite never caught up with
+	// itself and the tail past the cursor is dead — reclaim it.
+	ep.edgeBytes = cursor
+	if err := ep.pager.truncate(fileEdges, cursor); err != nil {
+		return err
 	}
+	blooms := make(map[uint64]*bloom, len(hashAcc))
+	for k, hs := range hashAcc {
+		b := newBloom(len(hs))
+		for _, h := range hs {
+			b.add(h)
+		}
+		blooms[k] = b
+	}
+	ep.typeCounts = typeCounts
+	ep.blooms = blooms
+	ep.statsValid = true
 	ep.segmented = true
 	s.needFinalize = false
 	// A finalized store with at least one vertex and one edge accepts
 	// durable live mutations (see live.go). Empty or vertex-only stores
 	// stay in build mode: they are still being constructed and their
-	// cheap base mutations need no WAL. The delta restarts at the new
-	// base boundaries either way.
+	// cheap base mutations need no WAL.
 	if ep.numVertices > 0 && ep.numEdges > 0 {
 		s.delta = newDelta(ep.numVertices, ep.numEdges)
 		s.delta.appliedSeq.Store(s.walFoldedSeq)
 		s.liveMode.Store(true)
 	}
 	return nil
-}
-
-// foldDelta appends the delta segment's visible vertex/label/property
-// state to the base files so the rebuild that follows links it, and
-// returns the delta's edges in ingest order for the caller to merge into
-// its gather (Finalize renumbers and writes them — appending records
-// here would corrupt a compressed base, whose edges.db holds segments,
-// not records). It consumes a frozen copy of the delta (freeze with an
-// unbounded watermark — the caller has exclusive access, so everything
-// is visible): delta vertices keep their VIDs (the delta numbered them
-// past the base, so appending in VID order reproduces the live IDs).
-// Once the fold is in the base, the WAL records it absorbed are dead
-// weight: walFoldedSeq advances to fence them out of replay, and the
-// next Flush — the manifest commit that makes the fold durable —
-// truncates the log (pendingCheckpoint). The caller has switched live
-// routing off and placed the finalize marker, so every write here uses
-// the base build path and a crash mid-fold is detected at next Open;
-// the caller's tail also restarts the delta at the new base boundaries.
-func (s *Store) foldDelta() ([]edgeLite, error) {
-	ep := s.cur
-	w := vis{baseVerts: ep.numVertices, baseEdges: ep.numEdges, baseSeq: ep.baseSeq, maxSeq: ^uint64(0)}
-	fd := s.delta.freeze(w)
-	for i := range fd.verts {
-		fv := &fd.verts[i]
-		v := storage.VID(ep.numVertices)
-		ep.numVertices++
-		rec := vertexRec{inUse: true}
-		for _, id := range fv.labelIDs {
-			w, b := id/64, uint(id%64)
-			if rec.labels[w]&(1<<b) == 0 {
-				rec.labels[w] |= 1 << b
-				ep.byLabel[id] = append(ep.byLabel[id], v)
-			}
-		}
-		if err := ep.writeVertex(v, rec); err != nil {
-			return nil, err
-		}
-	}
-	// Label additions on base vertices (delta-vertex labels were folded
-	// into their fresh records above). The delta deduplicated against
-	// base bits at apply time, but re-checking here keeps byLabel clean
-	// even if the same label was added twice across batches.
-	for v, ids := range fd.labelAdds {
-		rec, err := ep.readVertex(v)
-		if err != nil {
-			return nil, err
-		}
-		changed := false
-		for _, id := range ids {
-			w, b := id/64, uint(id%64)
-			if rec.labels[w]&(1<<b) == 0 {
-				rec.labels[w] |= 1 << b
-				ep.byLabel[id] = append(ep.byLabel[id], v)
-				changed = true
-			}
-		}
-		if changed {
-			if err := ep.writeVertex(v, rec); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Delta edges in EID order, handed back rather than written: ingest
-	// order is preserved for the stable sort, and the caller's rebuild
-	// assigns their final IDs and bytes.
-	extra := make([]edgeLite, len(fd.edges))
-	for i, fe := range fd.edges {
-		extra[i] = edgeLite{src: int64(fe.src), dst: int64(fe.dst), typeID: fe.typeID}
-	}
-	// Properties last, once every vertex they touch has a base record:
-	// delta-vertex values and base-vertex overrides both go through the
-	// base prop chain.
-	for i := range fd.verts {
-		fv := &fd.verts[i]
-		for keyID, val := range fv.props {
-			if err := s.SetProp(fv.v, s.keys[keyID], val); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for v, m := range fd.propOver {
-		for keyID, val := range m {
-			if err := s.SetProp(v, s.keys[keyID], val); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if w := s.wal.Load(); w != nil {
-		s.walFoldedSeq = w.lastAppended()
-		s.pendingCheckpoint = true
-	}
-	// The base now holds everything up to the fence.
-	ep.baseSeq = s.walFoldedSeq
-	return extra, nil
 }

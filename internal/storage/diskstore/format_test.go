@@ -1,10 +1,12 @@
 package diskstore
 
-// Format v4 tests: persisted index opens, type-segmented adjacency,
-// bulk finalize, legacy v2/v3 compatibility, the committed golden v3
-// fixture, and crash-safe (atomic) flushes.
+// Format tests: persisted index opens, type-segmented adjacency, bulk
+// finalize, legacy v2/v3/v4 compatibility through the committed golden
+// fixtures, and crash-safe (atomic) flushes.
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,23 +14,46 @@ import (
 	"time"
 
 	"repro/internal/cypher"
+	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/storage"
 	"repro/internal/storage/storetest"
 )
 
+// openEmptyLegacy opens a directory holding the manifest a v2, v3 or v4
+// release wrote for an empty store. Building into it goes through that
+// version's build-mode record writers (no per-type degree records on v2,
+// 32-byte ones on v3, 64-byte ones on v4) until Finalize upgrades it to
+// v5.
+func openEmptyLegacy(t *testing.T, dir string, version int) *Store {
+	t.Helper()
+	data, err := json.Marshal(manifest{Version: version, Segmented: version >= 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if got := s.Format().Version; got != version {
+		t.Fatalf("empty v%d store opened as v%d", version, got)
+	}
+	return s
+}
+
 // TestConformanceLegacyLayouts runs the full conformance suite against
-// stores forced to write the v2, v3, and v4 (uncompressed) layouts,
-// proving the v5 code keeps serving (and building) legacy stores
+// empty v2, v3 and v4 stores: the build-mode paths of each legacy
+// layout (record chains, the version's degree records, the reopen scan)
+// and the Finalize that upgrades them to v5 must serve every read
 // correctly.
 func TestConformanceLegacyLayouts(t *testing.T) {
 	for _, version := range []int{2, 3, 4} {
-		t.Run(map[int]string{2: "v2", 3: "v3", 4: "v4"}[version], func(t *testing.T) {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			storetest.Run(t, func(t *testing.T) storage.Builder {
-				s, err := Open(t.TempDir(), Options{PageSize: 512, CachePages: 16, Format: version})
-				if err != nil {
-					t.Fatalf("Open: %v", err)
-				}
+				s := openEmptyLegacy(t, t.TempDir(), version)
 				t.Cleanup(func() {
 					if err := s.Close(); err != nil {
 						t.Errorf("Close: %v", err)
@@ -283,64 +308,163 @@ var upgradeQueries = []string{
 	`MATCH (a:C)<-[:r3]-(b) RETURN a.p2, COUNT(b.p0)`,
 }
 
-// TestCompactUpgradeRoundTrip: open v3 → Compact → reopen as v4 →
-// identical query results (and fingerprints, and fast-path equivalence).
+// sameRows fails the test unless got and want hold the same rows.
+func sameRows(t *testing.T, q string, got, want [][]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("query %q: %d rows, want %d", q, len(got), len(want))
+	}
+	for r := range got {
+		if strings.Join(got[r], "\x00") != strings.Join(want[r], "\x00") {
+			t.Fatalf("query %q row %d: %q, want %q", q, r, got[r], want[r])
+		}
+	}
+}
+
+// TestCompactUpgradeRoundTrip opens each committed previous-release
+// fixture, checks it against its recorded fingerprint, queries it, and
+// Compacts it to v5 — the CI format-compat gate. Each row runs twice on
+// fresh copies of the fixture:
+//
+//   - pristine: the fingerprint, the read surface and the upgradeQueries
+//     rows must be identical before and after Compact plus reopen;
+//   - written: a few Builder writes land first (the build path on v2/v3,
+//     the WAL and delta on the live v4 store) and must survive the
+//     upgrade.
+//
+// The fixtures cannot be regenerated by the current code, which writes
+// only v5. They were written with the Options.Format knob of earlier
+// releases (golden-v3 by the v3 code itself):
+//
+//   - golden-v2: Open(dir, Options{PageSize: 512, CachePages: 64, Format: 2}),
+//     storetest.BuildRandom(s, 21, 60, 160), Close;
+//   - golden-v4: Open(dir, Options{PageSize: 512, CachePages: 64, Format: 4}),
+//     storetest.BuildRandomBulk(s, 21, 60, 160, 32), Close.
+//
+// FINGERPRINT.txt holds storetest.Fingerprint of the store before Close.
 func TestCompactUpgradeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	v3, err := Open(dir, Options{PageSize: 512, CachePages: 32, Format: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storetest.BuildRandom(v3, 21, 80, 220); err != nil {
-		t.Fatal(err)
-	}
-	if err := v3.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Format(); got.Version != 3 || got.Segmented || got.IndexLoaded {
-		t.Fatalf("v3 store opened as %+v", got)
-	}
-	wantFP := storetest.Fingerprint(s)
-	var wantRows [][][]string
-	for _, q := range upgradeQueries {
-		wantRows = append(wantRows, runQuerySorted(t, s, q))
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	v4, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v4.Close()
-	if got := v4.Format(); got.Version != formatVersion || !got.Segmented || !got.IndexLoaded {
-		t.Fatalf("upgraded store opened as %+v, want v%d segmented+indexed", got, formatVersion)
-	}
-	if got := storetest.Fingerprint(v4); got != wantFP {
-		t.Error("upgraded store contents diverge from the v3 original")
-	}
-	storetest.CheckReadSurface(t, v4)
-	for i, q := range upgradeQueries {
-		got := runQuerySorted(t, v4, q)
-		if len(got) != len(wantRows[i]) {
-			t.Fatalf("query %q: %d rows after upgrade, want %d", q, len(got), len(wantRows[i]))
-		}
-		for r := range got {
-			for c := range got[r] {
-				if got[r][c] != wantRows[i][r][c] {
-					t.Fatalf("query %q row %d col %d: %q after upgrade, want %q", q, r, c, got[r][c], wantRows[i][r][c])
-				}
+	for _, tc := range []struct {
+		version int
+		// degrees: degrees.db has content (v3+). segmented, indexed and
+		// live: how the store opens (v4 has index.db and type-grouped
+		// chains, so it opens live).
+		degrees, segmented, indexed, live bool
+	}{
+		{version: 2},
+		{version: 3, degrees: true},
+		{version: 4, degrees: true, segmented: true, indexed: true, live: true},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			fixture := fmt.Sprintf("testdata/golden-v%d", tc.version)
+			want, err := os.ReadFile(filepath.Join(fixture, "FINGERPRINT.txt"))
+			if err != nil {
+				t.Fatalf("missing golden fixture: %v", err)
 			}
-		}
+			open := func(dir string) *Store {
+				t.Helper()
+				s, err := Open(dir, Options{PageSize: 512, CachePages: 32})
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				return s
+			}
+			openLegacy := func() (string, *Store) {
+				t.Helper()
+				dir := copyDir(t, fixture)
+				if st, err := os.Stat(filepath.Join(dir, "degrees.db")); err != nil || (st.Size() > 0) != tc.degrees {
+					t.Fatalf("fixture degrees.db: %v, want content %v", err, tc.degrees)
+				}
+				s := open(dir)
+				got := s.Format()
+				if got.Version != tc.version || got.Segmented != tc.segmented || got.IndexLoaded != tc.indexed || got.Compressed || s.Live() != tc.live {
+					t.Fatalf("golden store opened as %+v live=%v", got, s.Live())
+				}
+				return dir, s
+			}
+			// upgrade Compacts s, reopens it and checks the v5 layout.
+			upgrade := func(dir string, s *Store) *Store {
+				t.Helper()
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				v5 := open(dir)
+				t.Cleanup(func() { v5.Close() })
+				if got := v5.Format(); got.Version != formatVersion || !got.Compressed || !got.Segmented || !got.IndexLoaded {
+					t.Fatalf("upgraded store opened as %+v, want v%d compressed+indexed", got, formatVersion)
+				}
+				if storage.Statistics(v5).EdgeTypeCounts() == nil {
+					t.Error("upgraded store has no persisted edge-type counts")
+				}
+				storetest.CheckReadSurface(t, v5)
+				return v5
+			}
+			queryAll := func(g storage.Graph) [][][]string {
+				var rows [][][]string
+				for _, q := range upgradeQueries {
+					rows = append(rows, runQuerySorted(t, g, q))
+				}
+				return rows
+			}
+
+			// Pristine round trip.
+			dir, s := openLegacy()
+			if got := storetest.Fingerprint(s); got != string(want) {
+				t.Fatal("golden store no longer reproduces its recorded fingerprint")
+			}
+			storetest.CheckReadSurface(t, s)
+			wantRows := queryAll(s)
+			if len(wantRows[0]) == 0 {
+				t.Error("golden store query returned no rows")
+			}
+			v5 := upgrade(dir, s)
+			if got := storetest.Fingerprint(v5); got != string(want) {
+				t.Error("upgraded golden store diverges from the recorded fingerprint")
+			}
+			for i, q := range upgradeQueries {
+				sameRows(t, q, runQuerySorted(t, v5, q), wantRows[i])
+			}
+
+			// Written round trip.
+			dir, s = openLegacy()
+			v, err := s.AddVertex("A", "Written")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AddEdge(v, 0, "r1"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AddEdge(1, v, "r2"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetProp(v, "p0", graph.S("written")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetProp(0, "p1", graph.I(-7)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddLabel(2, "Written"); err != nil {
+				t.Fatal(err)
+			}
+			if s.Live() != tc.live {
+				t.Fatalf("writes changed the store's mode: live=%v", s.Live())
+			}
+			wantWritten := storetest.Fingerprint(s)
+			if wantWritten == string(want) {
+				t.Fatal("writes did not change the fingerprint")
+			}
+			storetest.CheckReadSurface(t, s)
+			wantRows = queryAll(s)
+			v5 = upgrade(dir, s)
+			if got := storetest.Fingerprint(v5); got != wantWritten {
+				t.Error("writes did not survive the upgrade")
+			}
+			for i, q := range upgradeQueries {
+				sameRows(t, q, runQuerySorted(t, v5, q), wantRows[i])
+			}
+		})
 	}
 }
 
@@ -363,124 +487,6 @@ func copyDir(t *testing.T, src string) string {
 		}
 	}
 	return dst
-}
-
-// TestGoldenV3Store opens the committed previous-release fixture
-// (testdata/golden-v3, written by the v3 code before the v4 refactor),
-// verifies every observable bit of it against the recorded fingerprint,
-// queries it, and upgrades it — the CI format-compat gate.
-func TestGoldenV3Store(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden-v3/FINGERPRINT.txt")
-	if err != nil {
-		t.Fatalf("missing golden fixture: %v", err)
-	}
-	dir := copyDir(t, "testdata/golden-v3")
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatalf("golden v3 store rejected: %v", err)
-	}
-	if got := s.Format(); got.Version != 3 {
-		t.Fatalf("golden store opened as v%d, want v3", got.Version)
-	}
-	if got := storetest.Fingerprint(s); got != string(want) {
-		t.Error("golden v3 store no longer reproduces its recorded fingerprint")
-	}
-	storetest.CheckReadSurface(t, s)
-	rows := runQuerySorted(t, s, upgradeQueries[0])
-	if len(rows) == 0 {
-		t.Error("golden store query returned no rows")
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v4, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v4.Close()
-	if got := v4.Format(); got.Version != formatVersion || !got.IndexLoaded {
-		t.Fatalf("upgraded golden store opened as %+v", got)
-	}
-	if got := storetest.Fingerprint(v4); got != string(want) {
-		t.Error("upgraded golden store diverges from the recorded fingerprint")
-	}
-}
-
-// TestGoldenV4Store opens the committed v4 fixture (testdata/golden-v4,
-// written with Options{Format: 4} before compression became the
-// default: segmented adjacency, uncompressed 64-byte edge records, a
-// PGSIDX04 index), verifies it bit for bit against its recorded
-// fingerprint, queries it, and Compacts it — which must upgrade it to
-// the compressed v5 layout with identical observable contents and a
-// populated statistics block.
-//
-// Regenerate with:
-//
-//	s, _ := Open(dir, Options{PageSize: 512, CachePages: 64, Format: 4})
-//	storetest.BuildRandomBulk(s, 21, 60, 160, 32)
-//	fp := storetest.Fingerprint(s); s.Close()  // then write FINGERPRINT.txt
-func TestGoldenV4Store(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden-v4/FINGERPRINT.txt")
-	if err != nil {
-		t.Fatalf("missing golden fixture: %v", err)
-	}
-	dir := copyDir(t, "testdata/golden-v4")
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatalf("golden v4 store rejected: %v", err)
-	}
-	if got := s.Format(); got.Version != 4 || !got.Segmented || !got.IndexLoaded || got.Compressed {
-		t.Fatalf("golden store opened as %+v, want v4 segmented+indexed uncompressed", got)
-	}
-	if got := storetest.Fingerprint(s); got != string(want) {
-		t.Error("golden v4 store no longer reproduces its recorded fingerprint")
-	}
-	storetest.CheckReadSurface(t, s)
-	var wantRows [][][]string
-	for _, q := range upgradeQueries {
-		wantRows = append(wantRows, runQuerySorted(t, s, q))
-	}
-	if len(wantRows[0]) == 0 {
-		t.Error("golden store query returned no rows")
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	v5, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v5.Close()
-	if got := v5.Format(); got.Version != formatVersion || !got.Compressed || !got.IndexLoaded {
-		t.Fatalf("upgraded golden store opened as %+v, want v%d compressed+indexed", got, formatVersion)
-	}
-	if got := storetest.Fingerprint(v5); got != string(want) {
-		t.Error("upgraded golden store diverges from the recorded fingerprint")
-	}
-	for i, q := range upgradeQueries {
-		got := runQuerySorted(t, v5, q)
-		if len(got) != len(wantRows[i]) {
-			t.Fatalf("query %q: %d rows after upgrade, want %d", q, len(got), len(wantRows[i]))
-		}
-		for r := range got {
-			for c := range got[r] {
-				if got[r][c] != wantRows[i][r][c] {
-					t.Fatalf("query %q row %d col %d: %q after upgrade, want %q", q, r, c, got[r][c], wantRows[i][r][c])
-				}
-			}
-		}
-	}
-	// The upgrade must also have produced the v5 statistics block.
-	if storage.Statistics(v5).EdgeTypeCounts() == nil {
-		t.Error("upgraded golden store has no persisted edge-type counts")
-	}
 }
 
 // TestBulkFlushAutoFinalizes: closing a store with pending bulk edges

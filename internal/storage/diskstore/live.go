@@ -2,9 +2,9 @@ package diskstore
 
 // Live-write mode: the durable post-finalize mutation path.
 //
-// A store is live when its base layout is a finalized v4 store with at
-// least one edge (or when a wal.db from a previous live session needs
-// replaying). In live mode the base files are frozen — Builder calls are
+// A store is live when its base is a finalized, type-grouped (v4 or v5)
+// store with at least one edge (or when a wal.db from a previous live
+// session needs replaying). In live mode the base files are frozen — Builder calls are
 // rerouted here instead of dirtying pages — and every mutation batch is:
 //
 //  1. validated and resolved (batch-relative vertex references become

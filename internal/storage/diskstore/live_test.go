@@ -532,6 +532,67 @@ func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	}
 }
 
+// TestFinalizeLiveStoreFoldsToNewGeneration: Finalize on a live store
+// runs the background fold — a new generation committed by manifest
+// rename — so it never leaves the finalize marker that would make a
+// crash before the next Flush refuse the store.
+func TestFinalizeLiveStoreFoldsToNewGeneration(t *testing.T) {
+	dir := t.TempDir()
+	s, ms := openLivePair(t, dir)
+	gen := s.Format().Generation
+	batch := []storage.Mutation{
+		{Op: storage.MutAddVertex, Labels: []string{"A", "Live"}},
+		{Op: storage.MutAddEdge, Src: -1, Dst: 3, Type: "r1"},
+		{Op: storage.MutSetProp, V: -1, Key: "p0", Value: graph.S("new")},
+		{Op: storage.MutSetProp, V: 5, Key: "p1", Value: graph.I(42)},
+		{Op: storage.MutAddLabel, V: 7, Label: "Live"},
+	}
+	if _, err := s.ApplyMutations(batch); err != nil {
+		t.Fatal(err)
+	}
+	v, err := ms.AddVertex("A", "Live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ms.AddEdge(v, 3, "r1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.SetProp(v, "p0", graph.S("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.SetProp(5, "p1", graph.I(42)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.AddLabel(7, "Live"); err != nil {
+		t.Fatal(err)
+	}
+	want := storetest.Fingerprint(ms)
+
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := storetest.Fingerprint(s); got != want {
+		t.Errorf("finalized store diverged from memstore reference\n got %s\nwant %s", got, want)
+	}
+	if got := s.Format().Generation; got != gen+1 {
+		t.Errorf("generation after Finalize = %d, want %d", got, gen+1)
+	}
+	if _, err := os.Stat(filepath.Join(dir, finalizeMarker)); !os.IsNotExist(err) {
+		t.Errorf("Finalize on a live store left %s behind (stat err: %v)", finalizeMarker, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := storetest.Fingerprint(re); got != want {
+		t.Errorf("reopened store diverged\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestInterruptedFinalizeTypedError(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openLivePair(t, dir)
@@ -647,7 +708,7 @@ func TestV4StoreWithoutWALOpensClean(t *testing.T) {
 		t.Errorf("reopen diverged\n got %s\nwant %s", got, want)
 	}
 	if !s2.Live() {
-		t.Error("finalized v4 store should be live on reopen")
+		t.Error("finalized store should be live on reopen")
 	}
 }
 

@@ -423,7 +423,10 @@ func (vw view) degreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 
 // forEachBase iterates v's base-file adjacency only, reporting whether
 // iteration ran to completion (false = fn stopped it or a read failed),
-// so a live caller knows whether to continue into the delta.
+// so a live caller knows whether to continue into the delta. A v5 base
+// decodes the type's varint segment; a legacy v2-v4 base, or a
+// build-mode store after an incremental AddEdge, walks the record chain
+// and filters by type.
 func (ep *epoch) forEachBase(v storage.VID, etype storage.SymbolID, out bool, fn func(storage.EID, storage.VID) bool) bool {
 	rec, err := ep.readVertex(v)
 	if err != nil {
@@ -433,9 +436,6 @@ func (ep *epoch) forEachBase(v storage.VID, etype storage.SymbolID, out bool, fn
 		// A compressed epoch has no edge records at all — every
 		// traversal, typed or not, decodes varint segments.
 		return ep.forEachCompressed(rec, etype, out, fn)
-	}
-	if etype != storage.AnySymbol && ep.segmented {
-		return ep.forEachSegment(rec, uint32(etype), out, fn)
 	}
 	p := rec.firstOut
 	if !out {
@@ -458,50 +458,6 @@ func (ep *epoch) forEachBase(v storage.VID, etype storage.SymbolID, out bool, fn
 			}
 		}
 		p = next
-	}
-	return true
-}
-
-// forEachSegment is the typed iteration fast path on a segmented store:
-// it finds the type's degree record (one short chain walk), seeks to its
-// adjacency segment head, and consumes edges until the segment ends —
-// other types' edge records are never read, the storage-level analogue of
-// the paper's schema-driven traversal pruning. Reports whether iteration
-// ran to completion (see forEachBase).
-func (ep *epoch) forEachSegment(rec vertexRec, typeID uint32, out bool, fn func(storage.EID, storage.VID) bool) bool {
-	for d := rec.firstDeg; d != 0; {
-		dr, err := ep.readDeg(d - 1)
-		if err != nil {
-			return false
-		}
-		if dr.typeID != typeID {
-			d = dr.next
-			continue
-		}
-		p := dr.firstOut
-		if !out {
-			p = dr.firstIn
-		}
-		for p != 0 {
-			er, err := ep.readEdge(storage.EID(p - 1))
-			if err != nil {
-				return false
-			}
-			if er.typeID != typeID {
-				return true // left the segment
-			}
-			other := storage.VID(er.dst)
-			next := er.nextOut
-			if !out {
-				other = storage.VID(er.src)
-				next = er.nextIn
-			}
-			if !fn(storage.EID(p-1), other) {
-				return false
-			}
-			p = next
-		}
-		return true
 	}
 	return true
 }

@@ -25,9 +25,9 @@ package diskstore
 // values are a u8 graph.Kind followed by a kind-specific encoding.
 //
 // The sequence number fences replay against the checkpoint protocol:
-// a fold (background Compact or exclusive Finalize) absorbs the delta
-// prefix up to some batch W into the base, commits a manifest whose
-// wal_seq records W, and only then rotates/truncates the log. A crash
+// a background fold (run by Compact, or by Finalize on a live store)
+// absorbs the delta prefix up to some batch W into the base, commits a
+// manifest whose wal_seq records W, and only then rotates the log. A crash
 // between commit and rotation leaves records with seq <= wal_seq in the
 // log; replay skips them. Records also carry the base generation
 // (epoch) they were appended under: epochs are non-decreasing along the
@@ -233,27 +233,6 @@ func (w *wal) truncateTo(off int64) error {
 		return err
 	}
 	w.size = off
-	return nil
-}
-
-// reset empties the log — the checkpoint step after a committed Compact
-// folded every record into the base. Sequence numbers keep counting from
-// where they were so the manifest's wal_seq fence stays monotonic.
-func (w *wal) reset() error {
-	if err := w.stickyErr(); err != nil {
-		return err
-	}
-	w.appendMu.Lock()
-	defer w.appendMu.Unlock()
-	if err := w.f.Truncate(0); err != nil {
-		w.fail(err)
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.fail(err)
-		return err
-	}
-	w.size = 0
 	return nil
 }
 
